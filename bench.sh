@@ -1,9 +1,9 @@
 #!/bin/sh
-# Run the figure/table and hot-path benchmarks with allocation reporting
-# and write the parsed results as BENCH_<date>.json (plus the raw text next
-# to it). Narrow the set with a pattern argument:
-#   ./bench.sh              # everything
-#   ./bench.sh 'Fig[0-9]+'  # figure benches only
+# Run the study and hot-path benchmarks with allocation reporting and write
+# the parsed results as BENCH_<date>.json (plus the raw text next to it).
+# Narrow the set with a pattern argument:
+#   ./bench.sh                    # everything
+#   ./bench.sh 'Trial|Decision'   # the mapping hot path only
 #
 # Profiling: BENCH_PROFILE=1 captures CPU and heap profiles next to the
 # baseline (<stem>.<pkg>.cpu.pprof / .mem.pprof). go test refuses profile
@@ -15,6 +15,11 @@
 # percent (default 10) over the most recent committed baseline fails the
 # run loudly with exit 1:
 #   BENCH_GATE='Trial/LL_en_rob$|ServeAdmit' BENCH_THRESHOLD=15 ./bench.sh
+# A gated row also fails on its deterministic counters, which host noise
+# cannot move: allocs/op and gridconv/trial must equal the baseline's, and
+# conv/trial must be 0 on every BenchmarkTrial row — a sparse convolution
+# creeping back into a production trial fails here instead of hiding in
+# ns/op jitter. An intended change to them lands with a fresh baseline.
 set -eu
 cd "$(dirname "$0")"
 
@@ -46,7 +51,7 @@ fi
 raw="${stem}.txt"
 out="${stem}.json"
 
-# The root package holds the figure/table and hot-path benches;
+# The root package holds the study and hot-path benches;
 # internal/server adds the durability ones (WAL append/commit, recovery).
 if [ -n "${BENCH_PROFILE:-}" ]; then
     : > "$raw"
@@ -67,7 +72,7 @@ else
 fi
 
 # Parse "BenchmarkName-N  iters  X ns/op  Y B/op  Z allocs/op  [W unit]..."
-# into a JSON array; custom metrics (e.g. med_missed) ride along.
+# into a JSON array; custom metrics (e.g. gridconv/trial) ride along.
 awk '
 BEGIN { print "["; first = 1 }
 /^Benchmark/ {
@@ -113,8 +118,14 @@ if [ -n "$prev" ]; then
         name = substr($0, RSTART + 9, RLENGTH - 10)
         ns = grab($0, "ns_per_op")
         al = grab($0, "allocs_per_op")
-        if (FILENAME == prevfile) { pns[name] = ns; pal[name] = al; next }
+        gc = grab($0, "gridconv_per_trial")
+        cv = grab($0, "conv_per_trial")
+        if (FILENAME == prevfile) { pns[name] = ns; pal[name] = al; pgc[name] = gc; next }
         if (gate != "" && name ~ gate) gated[name] = 1
+        if ((name in gated) && name ~ /^BenchmarkTrial\// && cv != "" && cv + 0 != 0) {
+            nbad++
+            bad[nbad] = sprintf("%s: %s sparse conv/trial on a production trial (must be 0)", name, cv)
+        }
         if (!(name in pns)) next
         dns = "n/a"; dal = "n/a"; pct = 0
         if (ns != "" && pns[name] + 0 > 0) {
@@ -128,6 +139,16 @@ if [ -n "$prev" ]; then
             nbad++
             bad[nbad] = sprintf("%s: %s -> %s ns/op (%+.1f%% > %s%% threshold)",
                                 name, pns[name], ns, pct, thresh)
+        }
+        if ((name in gated) && al != "" && pal[name] != "" && al + 0 != pal[name] + 0) {
+            nbad++
+            bad[nbad] = sprintf("%s: %s -> %s allocs/op (deterministic; must equal the baseline)",
+                                name, pal[name], al)
+        }
+        if ((name in gated) && gc != "" && pgc[name] != "" && gc + 0 != pgc[name] + 0) {
+            nbad++
+            bad[nbad] = sprintf("%s: %s -> %s gridconv/trial (deterministic; must equal the baseline)",
+                                name, pgc[name], gc)
         }
         delete gated[name]
     }

@@ -1,11 +1,10 @@
 package repro
 
-// One benchmark per paper figure and table (reduced trial counts so the
-// full suite stays tractable — scale up with cmd/ecfig for the real
-// numbers), plus micro-benchmarks of the simulator's hot paths. Every
-// figure bench reports the median missed deadlines it measured as a custom
-// metric ("med_missed") so regressions in *result shape*, not just speed,
-// are visible in bench output.
+// Reduced-scale benchmarks of the ablation and extension studies (scale up
+// with cmd/ecfig for the real numbers), plus micro-benchmarks of the
+// simulator's hot paths. The paper figures and the §VII table are not timed
+// here — a repeat Env.Figure call is a memo hit — their medians are pinned
+// by golden_test.go instead.
 
 import (
 	"fmt"
@@ -26,8 +25,9 @@ import (
 	"repro/internal/workload"
 )
 
-// benchSpec is the reduced-scale experiment used by the figure benches:
-// the paper's cluster and parameter structure with 3 trials of 300 tasks.
+// benchSpec is the reduced-scale experiment used by the study benches and
+// the golden test: the paper's cluster and parameter structure with 3
+// trials of 300 tasks.
 func benchSpec() experiment.Spec {
 	s := experiment.PaperSpec()
 	s.Trials = 3
@@ -51,49 +51,6 @@ func sharedEnv(b *testing.B) *experiment.Env {
 		b.Fatal(benchEnvErr)
 	}
 	return benchEnv
-}
-
-// benchFigure runs one paper figure end-to-end per iteration.
-func benchFigure(b *testing.B, n int) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var med float64
-	for i := 0; i < b.N; i++ {
-		f, err := env.Figure(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		med = f.Rows[len(f.Rows)-1].Summary.Median
-	}
-	b.ReportMetric(med, "med_missed")
-}
-
-// BenchmarkFig2_SQ regenerates Figure 2 (SQ × four filter variants).
-func BenchmarkFig2_SQ(b *testing.B) { benchFigure(b, 2) }
-
-// BenchmarkFig3_MECT regenerates Figure 3 (MECT × four filter variants).
-func BenchmarkFig3_MECT(b *testing.B) { benchFigure(b, 3) }
-
-// BenchmarkFig4_LL regenerates Figure 4 (LL × four filter variants).
-func BenchmarkFig4_LL(b *testing.B) { benchFigure(b, 4) }
-
-// BenchmarkFig5_Random regenerates Figure 5 (Random × four variants).
-func BenchmarkFig5_Random(b *testing.B) { benchFigure(b, 5) }
-
-// BenchmarkFig6_Best regenerates Figure 6 (best variation per heuristic).
-func BenchmarkFig6_Best(b *testing.B) { benchFigure(b, 6) }
-
-// BenchmarkTableSummary regenerates the §VII improvement table.
-func BenchmarkTableSummary(b *testing.B) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.SummaryTable(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAblationZetaMul sweeps fixed ζ_mul values against the adaptive
@@ -347,11 +304,14 @@ func BenchmarkRho(b *testing.B) {
 
 // BenchmarkDecision measures one full immediate-mode mapping decision for
 // the most expensive configuration (LL+en+rob: candidate enumeration, both
-// filters, ρ for every surviving candidate).
+// filters, ρ for every surviving candidate) on the path sim and server
+// take: the free-time engine plus a per-decision arena.
 func BenchmarkDecision(b *testing.B) {
 	m := microModel(b)
 	calc := robustness.NewCalculator(m)
 	view := benchView{c: m.Cluster}
+	ft := robustness.NewFreeTimeEngine(calc, view.NumCores())
+	arena := sched.NewArena()
 	mapper := &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}
 	task := workload.Task{ID: 0, Type: 3, Arrival: 100, Deadline: 100 + 2.5*m.TAvg(), U: 0.5, Priority: 1}
 	rng := randx.NewStream(7)
@@ -361,6 +321,7 @@ func BenchmarkDecision(b *testing.B) {
 		ctx := &sched.Context{
 			Now: 100, Task: task, Model: m, Calc: calc,
 			EnergyLeft: m.DefaultEnergyBudget(), TasksLeft: 500, AvgQueueDepth: 0.9, Rand: rng,
+			FreeTimes: ft, Arena: arena,
 		}
 		cands := sched.BuildCandidates(ctx, view)
 		_ = mapper.Map(ctx, cands)
@@ -387,16 +348,13 @@ func BenchmarkTrial(b *testing.B) {
 	cases := []struct {
 		name   string
 		mapper *sched.Mapper
-		sparse bool
 	}{
-		{"MECT_none", &sched.Mapper{Heuristic: sched.MinExpectedCompletionTime{}}, false},
-		{"LL_en_rob", &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}, false},
-		// The pre-grid sparse pipeline, kept runnable for the speedup ratio.
-		{"LL_en_rob_sparse", &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}, true},
+		{"MECT_none", &sched.Mapper{Heuristic: sched.MinExpectedCompletionTime{}}},
+		{"LL_en_rob", &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := sim.Config{Model: m, Mapper: c.mapper, EnergyBudget: math.Inf(1), SparsePMF: c.sparse}
+			cfg := sim.Config{Model: m, Mapper: c.mapper, EnergyBudget: math.Inf(1)}
 			b.ReportAllocs()
 			before := pmf.ReadOpCounts()
 			for i := 0; i < b.N; i++ {
@@ -504,11 +462,12 @@ func BenchmarkAblationBrownout(b *testing.B) {
 	}
 }
 
-// BenchmarkFreeTimeCached measures the incremental free-time engine on its
-// three paths: a hit returns the cached chain with zero convolutions, a
-// miss rebuilds the full §IV-B chain after an invalidation, a rebuild
-// re-derives it because the running head's truncation cut drifted, and
-// extend measures the full invalidate→rebuild→enqueue-extend→hit cycle.
+// BenchmarkFreeTimeCached measures the free-time engine's materialized
+// chain on its paths: a hit returns the cached chain with zero
+// convolutions, a miss refolds the waiting tail and the head after an
+// invalidation, a rebuild re-derives the tail⊛head product because the
+// running head's truncation cut drifted, and extend measures the full
+// invalidate→rebuild→enqueue-extend→query cycle.
 func BenchmarkFreeTimeCached(b *testing.B) {
 	m := microModel(b)
 	calc := robustness.NewCalculator(m)
@@ -599,10 +558,11 @@ func (v *busyView) CoreID(i int) cluster.CoreID      { return v.c.Cores()[i] }
 func (v *busyView) Queue(i int) robustness.CoreQueue { return v.queues[i] }
 
 // BenchmarkBuildCandidates measures candidate enumeration plus the full
-// LL+en+rob filter chain over a busy cluster — the mapping hot path — with
-// and without the cross-decision free-time engine. "fresh" derives every
-// core's chain per decision (the pre-cache behavior); "cached" hits the
-// engine's per-core chains, as the engines do between queue mutations.
+// LL+en+rob filter chain over a busy cluster — the mapping hot path — on
+// both ρ paths. "fresh" is the engine-less reference: every core's sparse
+// chain derived per decision (what the exact-ρ oracle pays); "cached" is
+// production: the engine's per-core lattice chains plus the arena, as the
+// engines run between queue mutations.
 func BenchmarkBuildCandidates(b *testing.B) {
 	m := microModel(b)
 	calc := robustness.NewCalculator(m)
@@ -610,7 +570,7 @@ func BenchmarkBuildCandidates(b *testing.B) {
 	mapper := &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}
 	task := workload.Task{ID: 0, Type: 3, Arrival: 100, Deadline: 100 + 2.5*m.TAvg(), U: 0.5, Priority: 1}
 	now := 100.0
-	run := func(b *testing.B, ft *robustness.FreeTimeEngine) {
+	run := func(b *testing.B, ft *robustness.FreeTimeEngine, arena *sched.Arena) {
 		rng := randx.NewStream(7)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -619,7 +579,7 @@ func BenchmarkBuildCandidates(b *testing.B) {
 			ctx := &sched.Context{
 				Now: now, Task: task, Model: m, Calc: calc,
 				EnergyLeft: m.DefaultEnergyBudget(), TasksLeft: 500, AvgQueueDepth: 1.8, Rand: rng,
-				FreeTimes: ft,
+				FreeTimes: ft, Arena: arena,
 			}
 			cands := sched.BuildCandidates(ctx, view)
 			_ = mapper.Map(ctx, cands)
@@ -627,9 +587,9 @@ func BenchmarkBuildCandidates(b *testing.B) {
 		d := pmf.ReadOpCounts().Sub(before)
 		b.ReportMetric(float64(d.Convolutions)/float64(b.N), "conv/decision")
 	}
-	b.Run("fresh", func(b *testing.B) { run(b, nil) })
+	b.Run("fresh", func(b *testing.B) { run(b, nil, nil) })
 	b.Run("cached", func(b *testing.B) {
-		run(b, robustness.NewFreeTimeEngine(calc, view.NumCores()))
+		run(b, robustness.NewFreeTimeEngine(calc, view.NumCores()), sched.NewArena())
 	})
 }
 

@@ -64,8 +64,6 @@ func run() error {
 		horizon    = flag.Int("horizon", 0, "energy fair-share horizon in tasks (0 = model window)")
 		faults     = flag.String("faults", "", "fault-injection spec, key=value list: mtbf, dist=exp|weibull, shape, repair, node-mtbf, recovery=drop|requeue, retries, backoff, deadline-aware")
 		brownout   = flag.Bool("brownout", false, "staged 90/95/98% brownout; the deepest stage also sheds admissions")
-		exactRho   = flag.Bool("exactrho", false, "evaluate candidate ρ by direct double sum instead of the compacted completion PMF (faster, not bit-identical to the paper pipeline)")
-		sparsePMF  = flag.Bool("sparsepmf", false, "force the original sparse impulse pipeline instead of the fixed-grid lattice fast path (reproduces the paper pipeline bit-for-bit)")
 		grace      = flag.Duration("drain-grace", 10*time.Second, "wall-clock bound on the shutdown drain")
 		report     = flag.String("report", "", "write the final drain report JSON to this file ('-' = stdout)")
 		flight     = flag.String("flight", "", "record a per-task flight trace (decision audit + predictions + outcomes) to this file; calibrate with ecreplay -calibrate")
@@ -164,8 +162,6 @@ func run() error {
 		Metrics:        reg,
 		Seed:           spec.Seed,
 		DrainGrace:     *grace,
-		ExactRho:       *exactRho,
-		SparsePMF:      *sparsePMF,
 	}
 	if *drainNow && !*doRecover {
 		return fmt.Errorf("-drain-now requires -recover")

@@ -53,8 +53,7 @@ func run() error {
 		hold      = flag.Bool("hold", false, "with -listen: block after the run so the endpoints stay up")
 		faults    = flag.String("faults", "", "fault-injection spec, key=value list: mtbf, dist=exp|weibull, shape, repair, node-mtbf, recovery=drop|requeue, retries, backoff, deadline-aware")
 		brownout  = flag.Bool("brownout", false, "replace the hard energy halt with the staged 90/95/98% brownout schedule")
-		exactRho  = flag.Bool("exactrho", false, "evaluate candidate ρ by direct double sum instead of the compacted completion PMF (faster, not bit-identical to the paper pipeline)")
-		sparsePMF = flag.Bool("sparsepmf", false, "force the original sparse impulse pipeline instead of the fixed-grid lattice fast path (reproduces the paper pipeline bit-for-bit)")
+		exactRho  = flag.Bool("exactrho", false, "run the exact-ρ oracle instead of the production lattice path: per-decision sparse chains and a direct double sum (uncached reference, several times slower; brackets the lattice quantization)")
 
 		trialTimeout = flag.Duration("trial-timeout", 0, "wall-clock limit for the trial (0 = none)")
 	)
@@ -109,7 +108,6 @@ func run() error {
 		Observer:     sim.Multi(rec),
 		Metrics:      reg,
 		ExactRho:     *exactRho,
-		SparsePMF:    *sparsePMF,
 	}
 	if *faults != "" {
 		if cfg.Faults, err = core.ParseFaultSpec(*faults); err != nil {

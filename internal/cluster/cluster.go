@@ -18,6 +18,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/randx"
 )
@@ -121,7 +122,10 @@ func (c CoreID) String() string { return fmt.Sprintf("n%d.p%d.c%d", c.Node, c.Pr
 type Cluster struct {
 	Nodes []Node `json:"nodes"`
 
-	cores []CoreID // lazily built flattened index
+	// cores is the flattened index, built on first use; the Once makes that
+	// safe when concurrent runs share one cluster.
+	coresOnce sync.Once
+	cores     []CoreID
 }
 
 // ErrNoNodes is returned for clusters without nodes.
@@ -155,7 +159,7 @@ func (c *Cluster) TotalCores() int {
 // Cores returns the flattened list of all core IDs, in (node, proc, core)
 // lexicographic order. The slice is cached; callers must not mutate it.
 func (c *Cluster) Cores() []CoreID {
-	if c.cores == nil {
+	c.coresOnce.Do(func() {
 		c.cores = make([]CoreID, 0, c.TotalCores())
 		for i := range c.Nodes {
 			for j := 0; j < c.Nodes[i].Processors; j++ {
@@ -164,7 +168,7 @@ func (c *Cluster) Cores() []CoreID {
 				}
 			}
 		}
-	}
+	})
 	return c.cores
 }
 

@@ -6,111 +6,58 @@ import (
 	"repro/internal/pmf"
 )
 
-// FreeTimeEngine caches each core's §IV-B free-time convolution chain
-// across mapping decisions. The naive pipeline rebuilds every core's chain
-// from scratch at every decision, yet an immediate-mode decision mutates
-// exactly one core's queue — on a 64-core cluster ~63 chains are
-// recomputed identically on the next arrival.
+// FreeTimeEngine is the production ρ path: it caches each core's §IV-B
+// free-time chain, on the model's lattice, across mapping decisions. The
+// naive pipeline rebuilds every core's chain from scratch at every
+// decision, yet an immediate-mode decision mutates exactly one core's queue
+// — on a 64-core cluster ~63 chains are recomputed identically on the next
+// arrival.
 //
-// Bit-identity is the design constraint: convolution followed by
-// compaction is NOT associative, so caching the tail product w1⊗w2⊗…
-// alone and convolving a re-derived head against it would change results.
-// Instead the engine caches the FULL left-associated chain
-// ((head⊗w1)⊗w2)… — exactly what Calculator.FreeTime computes — keyed by
-// (queue version, head truncation cut). The cut is the index TruncateBelow
-// applies (pmf.SearchValue): the truncated head, and therefore the whole
-// chain, depends on the decision instant only through that index, so as
-// long as the cut is stable the cached chain is bit-identical to a fresh
-// recomputation. Enqueueing appends one convolution at the RIGHT end of
-// the left-associated chain, which preserves association order — the O(1)
-// extension the naive loop pays O(queue) for.
+// Lattice convolution is exact and associative, so the chain splits into a
+// now-independent factor — the dense product of the waiting tasks'
+// execution lattices, cached per queue version and extended by one
+// convolution per tail enqueue — and the running head's truncation, which
+// depends on the decision instant only through its cut index
+// (pmf.Lattice.SearchValue). The tail ⊛ head product is cached per
+// (version, cut, length) and answers every candidate's ρ on the core from
+// its prefix sums. Every answer is bit-identical to the Calculator's
+// uncached Grid* reference on the same queue.
 //
 // Contract: callers own the invalidation discipline. Every queue mutation
 // other than a pure tail enqueue — head start, head completion, waiting
 // task cancellation, fault requeue, core down — must call Invalidate for
 // that core; a tail enqueue must call OnEnqueue. Heads that resist caching
-// fall back to the naive path: an unstarted head depends on the raw
-// decision instant (pure shift by now), and a fully overdue head
-// degenerates to Point(now); neither is stored.
+// are derived per query: an unstarted head depends on the raw decision
+// instant (pure shift by now), and a fully overdue head degenerates to a
+// point at now; neither is stored.
 //
 // The engine is NOT safe for concurrent use: each simulation engine and
 // the online server run their event loops on a single goroutine and own
-// one engine instance.
+// one engine instance. A nil engine accepts Invalidate and OnEnqueue as
+// no-ops, so an owner running without one (the exact-ρ oracle) keeps its
+// mutation hooks unconditional.
 type FreeTimeEngine struct {
 	calc  *Calculator
 	cores []coreChain
 
-	// grid routes every query through the fixed-grid pipeline (SetGrid):
-	// heads stay sparse-on-lattice, the waiting-tail product is cached
-	// densely, and ρ is answered by pmf.TripleConvCDF. Results are then
-	// bit-identical to the Calculator's Grid* reference methods.
-	grid bool
-
-	// Chain-cache instrumentation (nil-safe, attached via Instrument).
-	hits, misses, extends, rebuilds *metrics.Counter
-	compHits, compMisses, compSkips *metrics.Counter
-	gridRho, freeHits, freeMisses   *metrics.Counter
+	// Cache instrumentation (nil-safe, attached via Instrument).
+	hits, misses, extends, rebuilds, skips *metrics.Counter
+	kernelRho, freeHits, freeMisses        *metrics.Counter
 }
 
-// FreeSource supplies a core's free-time distribution on demand — the hook
-// ProbOnTime uses on a completion-cache miss. It is an interface rather
-// than a closure so the scheduler's per-decision arena can hand the engine
-// a pointer-backed source without a per-candidate closure allocation.
+// FreeSource is the type of ProbOnTime's last argument, which the engine
+// ignores. It survives only so that signature keeps compiling for
+// benchmark/kernels.go (see SetGrid).
 type FreeSource interface{ FreePMF() pmf.PMF }
-
-// compKey identifies a candidate completion distribution on one core: the
-// task type and P-state determine the execution PMF (the core's node is
-// fixed), and together with the core's free time they determine
-// Convolve(free, exec).
-type compKey struct {
-	taskType int
-	ps       cluster.PState
-}
-
-// compEntry is a cached completion PMF plus the (version, cut, length)
-// triple that pins the free-time distribution it was convolved against.
-type compEntry struct {
-	ver  uint64
-	cut  int
-	qlen int
-	comp pmf.PMF
-}
 
 // coreChain is one core's cached state, all guarded by ver: Invalidate
 // bumps ver, which lazily discards every derived value below.
 type coreChain struct {
 	ver uint64
 
-	// comp is the running head's execution PMF shifted by its start time —
-	// the now-independent part of the head stage, derived once per version.
-	comp    pmf.PMF
-	compVer uint64
-	compOK  bool
-
-	// head is comp truncated at headCut and renormalized, with its mean.
-	head     pmf.PMF
-	headMean float64
-	headCut  int
-	headVer  uint64
-	headOK   bool
-
-	// chain is the full left-associated free-time chain for the whole
-	// queue of chainLen tasks, built from the head at chainCut.
-	chain    pmf.PMF
-	chainCut int
-	chainLen int
-	chainVer uint64
-	chainOK  bool
-
-	// comps caches candidate completion distributions Convolve(chain, exec)
-	// per (task type, P-state), each pinned to the exact free-time state it
-	// was derived from. Stale entries are overwritten in place, so the map
-	// never exceeds |types|·|P-states| entries.
-	comps map[compKey]compEntry
-
-	// Grid-mode state, populated only when the engine runs on the lattice.
-	// baseL is the running head's execution lattice shifted by its start
-	// (the grid analogue of comp); headL is baseL truncated at headLCut.
+	// baseL is the running head's execution lattice shifted by its start —
+	// the now-independent part of the head stage, derived once per version;
+	// headL is baseL truncated at headLCut and renormalized, with its mean.
 	baseL    pmf.Lattice
 	baseLVer uint64
 	baseLOK  bool
@@ -129,16 +76,15 @@ type coreChain struct {
 	tailVer uint64
 	tailOK  bool
 
-	// hw is the dense tail ⊛ headL product, keyed like the sparse chain by
-	// (version, cut, len). It is the shared factor of every candidate's ρ
-	// on this core — ConvCDF answers each candidate against its prefix
-	// sums in O(|exec|) — and grid-mode FreeTime materializes its sparse
-	// form from it. Only cacheable heads (cut ≥ 0) are stored. The product
-	// is rebuilt into hwScratch, so the cut drifting with now (which
-	// invalidates it once per decision per busy core at steady state)
-	// recycles the same backing arrays instead of churning the heap; hw is
-	// therefore only valid until the next rebuild, which is exactly its
-	// cache lifetime.
+	// hw is the dense tail ⊛ headL product, keyed by (version, cut, len).
+	// It is the shared factor of every candidate's ρ on this core — ConvCDF
+	// answers each candidate against its prefix sums in O(|exec|) — and
+	// FreeTime materializes its sparse form from it. Only cacheable heads
+	// (cut ≥ 0) are stored. The product is rebuilt into hwScratch, so the
+	// cut drifting with now (which invalidates it once per decision per
+	// busy core at steady state) recycles the same backing arrays instead
+	// of churning the heap; hw is therefore only valid until the next
+	// rebuild, which is exactly its cache lifetime.
 	hw        pmf.Grid
 	hwScratch pmf.GridScratch
 	hwCut     int
@@ -146,10 +92,10 @@ type coreChain struct {
 	hwVer     uint64
 	hwOK      bool
 
-	// rho memoizes the candidate-independent slice of a grid-mode ρ
-	// evaluation — the head lattice, its cut, and the chain's minimum
-	// completion bound — per (version, queue length, decision instant).
-	// Every P-state candidate on the core shares these within a decision.
+	// rho memoizes the candidate-independent slice of a ρ evaluation — the
+	// head lattice, its cut, and the chain's minimum completion bound — per
+	// (version, queue length, decision instant). Every P-state candidate on
+	// the core shares these within a decision.
 	rhoHead    pmf.Lattice
 	rhoCut     int
 	rhoFreeMin float64
@@ -158,13 +104,13 @@ type coreChain struct {
 	rhoVer     uint64
 	rhoOK      bool
 
-	// chainG is the materialized sparse form of tail ⊛ headL that grid-mode
-	// FreeTime returns, keyed like the sparse chain by (version, cut, len).
-	chainG    pmf.PMF
-	chainGCut int
-	chainGLen int
-	chainGVer uint64
-	chainGOK  bool
+	// chain is the materialized sparse form of tail ⊛ headL that FreeTime
+	// returns, keyed by (version, cut, len).
+	chain    pmf.PMF
+	chainCut int
+	chainLen int
+	chainVer uint64
+	chainOK  bool
 
 	// seenQ/seenNow record the queue state most recently passed to FreeMean
 	// or FreeTime, letting RhoSeen re-derive it instead of every candidate
@@ -182,123 +128,81 @@ func NewFreeTimeEngine(calc *Calculator, numCores int) *FreeTimeEngine {
 	return &FreeTimeEngine{calc: calc, cores: make([]coreChain, numCores)}
 }
 
-// Instrument attaches the chain-cache counters: hits (a cached chain was
-// returned untouched), misses (no reusable chain existed and it was built
-// from scratch), extends (an enqueue was absorbed with one convolution),
-// and rebuilds (a chain for the same queue was re-derived because the
-// running head's truncation cut drifted). compHits/compMisses count
-// completion-distribution lookups answered from (respectively convolved
-// into) the per-core completion cache, and compSkips counts ρ evaluations
-// resolved to exactly zero by the infeasibility bound without touching a
-// distribution at all. Any counter may be nil.
-func (e *FreeTimeEngine) Instrument(hits, misses, extends, rebuilds, compHits, compMisses, compSkips *metrics.Counter) {
-	e.hits, e.misses, e.extends, e.rebuilds = hits, misses, extends, rebuilds
-	e.compHits, e.compMisses, e.compSkips = compHits, compMisses, compSkips
+// Instrument attaches the engine's counters. hits/misses/rebuilds describe
+// the materialized chain FreeTime returns: served untouched, built with no
+// reusable predecessor, or re-derived for the same queue because the
+// running head's truncation cut drifted. extends counts tail enqueues
+// absorbed with one convolution. skips counts ρ evaluations resolved to
+// exactly zero by the infeasibility bound without touching a distribution;
+// gridRho counts the rest, answered by the lattice CDF kernels, and
+// freeHits/freeMisses whether the waiting-tail product those read was
+// served from cache or had to be folded. Any counter may be nil.
+func (e *FreeTimeEngine) Instrument(hits, misses, extends, rebuilds, skips, gridRho, freeHits, freeMisses *metrics.Counter) {
+	e.hits, e.misses, e.extends, e.rebuilds, e.skips = hits, misses, extends, rebuilds, skips
+	e.kernelRho, e.freeHits, e.freeMisses = gridRho, freeHits, freeMisses
 }
 
-// InstrumentGrid attaches the grid-mode counters: gridRho counts ρ
-// evaluations answered by the lattice TripleConvCDF kernel, and
-// freeHits/freeMisses count whether the free-time state those evaluations
-// read (the waiting-tail product) was served from cache or had to be
-// folded — the grid analogue of the per-decision free-time memo traffic.
-// The Instrument counters keep their meanings against the grid chain
-// (hits/misses/rebuilds describe the materialized chain cache, extends the
-// incremental tail product, compSkips the infeasibility short-circuit);
-// compHits/compMisses stay zero because no completion PMF is ever built.
-// Any counter may be nil.
-func (e *FreeTimeEngine) InstrumentGrid(gridRho, freeHits, freeMisses *metrics.Counter) {
-	e.gridRho, e.freeHits, e.freeMisses = gridRho, freeHits, freeMisses
-}
-
-// SetGrid switches the engine onto the fixed-grid pipeline (building the
-// calculator's lattice table at the default step if absent). Set once
-// before use; the sparse and grid caches are disjoint, so flipping modes
-// mid-run wastes cache state but stays correct.
-func (e *FreeTimeEngine) SetGrid(on bool) {
-	if on && !e.calc.GridEnabled() {
-		e.calc.EnableGrid(0)
-	}
-	e.grid = on
-}
-
-// Grid reports whether the engine runs on the fixed-grid pipeline.
-func (e *FreeTimeEngine) Grid() bool { return e.grid }
+// SetGrid is a no-op: the lattice is the engine's only representation. It
+// remains because benchmark/kernels.go calls it and BENCHMARK.json freezes
+// that directory; the benchmark PR that drops the two calls drops this shim
+// (and ProbOnTime's ignored FreeSource argument) with them.
+func (e *FreeTimeEngine) SetGrid(bool) {}
 
 // Invalidate discards the core's cached state. Call it on every queue
 // mutation that is not a pure tail enqueue.
 func (e *FreeTimeEngine) Invalidate(coreIdx int) {
+	if e == nil {
+		return
+	}
 	e.cores[coreIdx].ver++
 }
 
 // OnEnqueue absorbs a task of the given type appended at P-state ps to the
 // tail of the core's queue, which now holds queueLen tasks. If the core
-// has a current chain for the previous queue, one convolution extends it
-// in place of the full rebuild the next query would otherwise pay; if not
-// (stale, never built, or built from an uncacheable head), the enqueue is
-// a no-op and the next query rebuilds lazily.
+// has a current tail product for the previous queue, one convolution
+// extends it in place of the full fold the next query would otherwise pay;
+// if not (stale or never built), the next query folds lazily.
 func (e *FreeTimeEngine) OnEnqueue(coreIdx, node, taskType int, ps cluster.PState, queueLen int) {
+	if e == nil {
+		return
+	}
 	c := &e.cores[coreIdx]
-	if e.grid {
-		g := e.calc.grid
-		switch {
-		case queueLen == 1:
-			// The enqueued task is the head: the waiting tail is empty, and
-			// the identity product is valid no matter what was cached.
-			c.tail, c.tailLen, c.tailVer, c.tailOK = g.identity, 0, c.ver, true
-		case c.tailOK && c.tailVer == c.ver && c.tailLen == queueLen-2:
-			// Extending at the right end is exactly the next iteration of
-			// the left-to-right fold gridTail runs, so the extended product
-			// is bit-identical to a fresh rebuild.
-			c.tail = c.tail.ConvolveLattice(g.exec[taskType][node][ps].lat)
-			c.tailLen = queueLen - 1
-			e.extends.Inc()
-		default:
-			c.tailOK = false
-		}
-		return
+	switch {
+	case queueLen == 1:
+		// The enqueued task is the head: the waiting tail is empty, and
+		// the identity product is valid no matter what was cached.
+		c.tail, c.tailLen, c.tailVer, c.tailOK = e.calc.identity, 0, c.ver, true
+	case c.tailOK && c.tailVer == c.ver && c.tailLen == queueLen-2:
+		// Extending at the right end is exactly the next iteration of
+		// the left-to-right fold gridTail runs, so the extended product
+		// is bit-identical to a fresh rebuild.
+		c.tail = c.tail.ConvolveLattice(e.calc.model.ExecLattice(taskType, node, ps).Lat)
+		c.tailLen = queueLen - 1
+		e.extends.Inc()
+	default:
+		c.tailOK = false
 	}
-	if !c.chainOK || c.chainVer != c.ver || c.chainLen != queueLen-1 || c.chainLen < 1 {
-		return
-	}
-	c.chain = pmf.Convolve(c.chain, e.calc.model.ExecPMF(taskType, node, ps))
-	c.chainLen = queueLen
-	e.extends.Inc()
 }
 
-// FreeMean returns E[free time] by linearity, reusing the cached truncated
-// head mean when the running head's cut is stable. The arithmetic mirrors
-// the naive linearity shortcut exactly: the (truncated) head mean plus the
-// execution means of the waiting tasks, or now + mean for an unstarted
-// head.
+// FreeMean returns E[free time] by linearity, bit-identical to
+// Calculator.GridFreeMean: the (truncated) head lattice mean — cached while
+// the running head's cut is stable — plus the lattice means of the waiting
+// tasks.
 func (e *FreeTimeEngine) FreeMean(coreIdx int, q CoreQueue, now float64) float64 {
 	c := &e.cores[coreIdx]
 	c.seenQ, c.seenNow = q, now
 	if len(q.Tasks) == 0 {
 		return now
 	}
-	if e.grid {
-		_, mean, _ := e.gridHeadFor(c, q, now)
-		g := e.calc.grid
-		for _, t := range q.Tasks[1:] {
-			mean += g.exec[t.Type][q.Node][t.PState].mean
-		}
-		return mean
-	}
-	var mean float64
-	if t0 := q.Tasks[0]; t0.Started {
-		_, m, _ := e.headFor(coreIdx, q, now)
-		mean = m
-	} else {
-		mean = now + e.calc.model.ExecPMF(t0.Type, q.Node, t0.PState).Mean()
-	}
+	_, mean, _ := e.latticeHead(c, q, now)
 	for _, t := range q.Tasks[1:] {
-		mean += e.calc.model.ExecPMF(t.Type, q.Node, t.PState).Mean()
+		mean += e.calc.model.ExecLattice(t.Type, q.Node, t.PState).Mean
 	}
 	return mean
 }
 
 // FreeTime returns the core's free-time distribution at now,
-// bit-identical to Calculator.FreeTime on the same queue. A query whose
+// bit-identical to Calculator.GridFreeTime on the same queue. A query whose
 // queue version, length, and head cut all match the cached chain is a
 // cache hit and costs zero convolutions.
 func (e *FreeTimeEngine) FreeTime(coreIdx int, q CoreQueue, now float64) pmf.PMF {
@@ -307,49 +211,23 @@ func (e *FreeTimeEngine) FreeTime(coreIdx int, q CoreQueue, now float64) pmf.PMF
 	if len(q.Tasks) == 0 {
 		return pmf.Point(now)
 	}
-	if e.grid {
-		e.calc.freeTimeEvals.Inc()
-		headL, _, cut := e.gridHeadFor(c, q, now)
-		if c.chainGOK && c.chainGVer == c.ver && c.chainGLen == len(q.Tasks) && cut >= 0 && c.chainGCut == cut {
-			e.hits.Inc()
-			return c.chainG
-		}
-		rebuild := c.chainGOK && c.chainGVer == c.ver && c.chainGLen == len(q.Tasks)
-		var free pmf.PMF
-		if cut >= 0 {
-			wh, _, _ := e.hwFor(c, q, &headL, cut)
-			free = wh.PMF()
-			c.chainG, c.chainGCut, c.chainGLen, c.chainGVer, c.chainGOK = free, cut, len(q.Tasks), c.ver, true
-		} else {
-			tail, _ := e.tailFor(c, q)
-			free = tail.ConvolveLattice(headL).PMF()
-			c.chainGOK = false
-		}
-		if rebuild {
-			e.rebuilds.Inc()
-		} else {
-			e.misses.Inc()
-		}
-		return free
-	}
-	var head pmf.PMF
-	cut := -1
-	if t0 := q.Tasks[0]; t0.Started {
-		head, _, cut = e.headFor(coreIdx, q, now)
-	} else {
-		head = e.calc.model.ExecPMF(t0.Type, q.Node, t0.PState).Shift(now)
-	}
+	e.calc.freeTimeEvals.Inc()
+	headL, _, cut := e.latticeHead(c, q, now)
 	if c.chainOK && c.chainVer == c.ver && c.chainLen == len(q.Tasks) && cut >= 0 && c.chainCut == cut {
 		e.hits.Inc()
 		return c.chain
 	}
 	rebuild := c.chainOK && c.chainVer == c.ver && c.chainLen == len(q.Tasks)
-	free := e.calc.FreeTimeFrom(head, q, now)
+	var free pmf.PMF
 	if cut >= 0 {
+		wh, _, _ := e.hwFor(c, q, &headL, cut)
+		free = wh.PMF()
 		c.chain, c.chainCut, c.chainLen, c.chainVer, c.chainOK = free, cut, len(q.Tasks), c.ver, true
 	} else {
 		// The head is uncacheable (unstarted or fully overdue); any stored
 		// chain for this version can never match again.
+		tail, _ := e.tailFor(c, q)
+		free = tail.ConvolveLattice(headL).PMF()
 		c.chainOK = false
 	}
 	if rebuild {
@@ -362,130 +240,42 @@ func (e *FreeTimeEngine) FreeTime(coreIdx int, q CoreQueue, now float64) pmf.PMF
 
 // ProbOnTime returns ρ(i,j,k,π,t_l,z) for a candidate of taskType at
 // P-state ps against the core's current queue, bit-identical to
-// Calculator.ProbOnTime(FreeTime(coreIdx, q, now), ...). The completion
-// distribution Convolve(free, exec) is a pure function of the free-time
-// chain and the execution PMF, so while the chain is unchanged (same
-// version, head cut, and queue length) the cached completion PMF answers
-// repeat queries for the same (type, P-state) with zero convolutions —
-// only the deadline CDF lookup remains. free, when non-nil, supplies the
-// free-time distribution on a completion-cache miss (so callers can route
-// the access through their own memo); nil falls back to e.FreeTime.
+// Calculator.GridProbOnTime: the head truncation and the waiting-tail
+// product come from the per-core caches, and ρ is read from prefix sums of
+// the cached tail⊛head product (or the direct double sum when the head is
+// uncacheable). The FreeSource argument is ignored (see FreeSource).
 //
-// In exact-ρ mode the evaluator never materializes a completion PMF, so
-// there is nothing to cache and the call devolves to the direct double sum.
-// In grid mode it is bit-identical to Calculator.GridProbOnTime instead: ρ
-// comes from prefix sums of the cached tail⊛head product (or the direct
-// double sum when the head is uncacheable), and free is never consulted.
-func (e *FreeTimeEngine) ProbOnTime(coreIdx int, q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64, free FreeSource) float64 {
-	if e.calc.exactRho {
-		return e.calc.ProbOnTime(e.freePMF(free, coreIdx, q, now), taskType, q.Node, ps, deadline)
-	}
-	if e.grid {
-		return e.probOnTimeGrid(coreIdx, q, now, taskType, ps, deadline)
-	}
+// Infeasibility short-circuit: every impulse of the completion
+// distribution lies at or above the sum of its operands' support minima.
+// The lattice kernels sum prefix sums at floor-index offsets, and a
+// deadline below that bound by a 1e-9 relative guard — orders of magnitude
+// wider than the ~1e-16 rounding between the bound's float expression and
+// the kernel's — lands every index strictly before the first massive bin,
+// so the kernel would return exactly 0.0; the skip returns it with no
+// distribution touched. Overloaded cores make this the common case.
+func (e *FreeTimeEngine) ProbOnTime(coreIdx int, q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64, _ FreeSource) float64 {
 	c := &e.cores[coreIdx]
-	cut := -1
-	var freeMin float64
-	if len(q.Tasks) == 0 {
-		freeMin = now
-	} else {
-		if t0 := q.Tasks[0]; t0.Started {
-			var head pmf.PMF
-			head, _, cut = e.headFor(coreIdx, q, now)
-			freeMin = head.Value(0)
-		} else {
-			freeMin = now + e.calc.model.ExecPMF(t0.Type, q.Node, t0.PState).Min()
-		}
-		for _, t := range q.Tasks[1:] {
-			freeMin += e.calc.model.ExecPMF(t.Type, q.Node, t.PState).Min()
-		}
-	}
-	exec := e.calc.model.ExecPMF(taskType, q.Node, ps)
-	// Infeasibility short-circuit: every impulse of the completion
-	// distribution lies at or above the sum of its operands' support minima
-	// (Shift and TruncateBelow are exact; convolution values are correctly-
-	// rounded sums; compaction replaces runs by mass-weighted centroids,
-	// which can dip below the run minimum only by accumulated rounding,
-	// ≲1e-12 relative). A deadline below that bound by a 1e-9 relative
-	// guard — orders of magnitude wider than the worst-case centroid
-	// rounding — therefore lies strictly below every impulse, and ρ is
-	// exactly the 0.0 the naive evaluation would return, with no
-	// convolution at all. Overloaded cores make this the common case.
-	if bound := freeMin + exec.Min(); bound > 0 && deadline < bound*(1-1e-9) {
-		e.compSkips.Inc()
-		return 0
-	}
-	key := compKey{taskType: taskType, ps: ps}
-	if cut >= 0 {
-		if ent, ok := c.comps[key]; ok && ent.ver == c.ver && ent.cut == cut && ent.qlen == len(q.Tasks) {
-			e.compHits.Inc()
-			return ent.comp.ProbByDeadline(deadline)
-		}
-	}
-	comp := e.calc.CompletionPMF(e.freePMF(free, coreIdx, q, now), taskType, q.Node, ps)
-	if cut >= 0 {
-		if c.comps == nil {
-			c.comps = make(map[compKey]compEntry)
-		}
-		c.comps[key] = compEntry{ver: c.ver, cut: cut, qlen: len(q.Tasks), comp: comp}
-	}
-	e.compMisses.Inc()
-	return comp.ProbByDeadline(deadline)
-}
-
-// RhoSeen is ProbOnTime evaluated against the queue state most recently
-// passed to FreeMean or FreeTime for this core. BuildCandidates derives
-// every core's free-time mean before any candidate's ρ is demanded, and
-// queues never mutate mid-decision, so the recorded state is exactly the
-// decision's state — without each candidate carrying a queue copy through
-// the mapping hot path.
-func (e *FreeTimeEngine) RhoSeen(coreIdx, taskType int, ps cluster.PState, deadline float64, free FreeSource) float64 {
-	c := &e.cores[coreIdx]
-	return e.ProbOnTime(coreIdx, c.seenQ, c.seenNow, taskType, ps, deadline, free)
-}
-
-// freePMF resolves the free-time distribution for the completion paths:
-// the caller's source when provided, the engine's own cache otherwise.
-func (e *FreeTimeEngine) freePMF(free FreeSource, coreIdx int, q CoreQueue, now float64) pmf.PMF {
-	if free != nil {
-		return free.FreePMF()
-	}
-	return e.FreeTime(coreIdx, q, now)
-}
-
-// probOnTimeGrid is the grid-mode ρ: bit-identical to
-// Calculator.GridProbOnTime on the same queue, with the head truncation and
-// the waiting-tail product served from the per-core caches and the same
-// infeasibility short-circuit the sparse path applies. The skip is exact
-// here too: TripleConvCDF sums w's prefix sums at floor-index offsets, and
-// a deadline below the summed support minima by a 1e-9 relative guard —
-// orders of magnitude wider than the ~1e-16 rounding between the bound's
-// float expression and the kernel's — lands every index strictly before
-// the first massive bin, so the kernel would return exactly 0.0.
-func (e *FreeTimeEngine) probOnTimeGrid(coreIdx int, q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64) float64 {
-	c := &e.cores[coreIdx]
-	g := e.calc.grid
-	exec := &g.exec[taskType][q.Node][ps]
+	exec := e.calc.model.ExecLattice(taskType, q.Node, ps)
 	if !(c.rhoOK && c.rhoVer == c.ver && c.rhoLen == len(q.Tasks) && c.rhoNow == now) {
 		if len(q.Tasks) == 0 {
-			c.rhoHead = pmf.PointLattice(now, g.step)
+			c.rhoHead = pmf.PointLattice(now, e.calc.model.LatticeStep())
 			c.rhoCut = -1
 			c.rhoFreeMin = now
 		} else {
-			c.rhoHead, _, c.rhoCut = e.gridHeadFor(c, q, now)
+			c.rhoHead, _, c.rhoCut = e.latticeHead(c, q, now)
 			freeMin := c.rhoHead.Min()
 			for _, t := range q.Tasks[1:] {
-				freeMin += g.exec[t.Type][q.Node][t.PState].min
+				freeMin += e.calc.model.ExecLattice(t.Type, q.Node, t.PState).Min
 			}
 			c.rhoFreeMin = freeMin
 		}
 		c.rhoVer, c.rhoLen, c.rhoNow, c.rhoOK = c.ver, len(q.Tasks), now, true
 	}
-	if bound := c.rhoFreeMin + exec.min; bound > 0 && deadline < bound*(1-1e-9) {
-		e.compSkips.Inc()
+	if bound := c.rhoFreeMin + exec.Min; bound > 0 && deadline < bound*(1-1e-9) {
+		e.skips.Inc()
 		return 0
 	}
-	e.gridRho.Inc()
+	e.kernelRho.Inc()
 	e.calc.completionEvals.Inc()
 	if c.rhoCut >= 0 {
 		// Cacheable head: every candidate on this core shares the dense
@@ -496,7 +286,7 @@ func (e *FreeTimeEngine) probOnTimeGrid(coreIdx int, q CoreQueue, now float64, t
 		} else {
 			e.freeMisses.Inc()
 		}
-		return wh.ConvCDF(&exec.lat, deadline)
+		return wh.ConvCDF(&exec.Lat, deadline)
 	}
 	tail, folded := e.tailFor(c, q)
 	if folded {
@@ -504,7 +294,18 @@ func (e *FreeTimeEngine) probOnTimeGrid(coreIdx int, q CoreQueue, now float64, t
 	} else {
 		e.freeHits.Inc()
 	}
-	return pmf.TripleConvCDF(&c.rhoHead, tail, &exec.lat, deadline)
+	return pmf.TripleConvCDF(&c.rhoHead, tail, &exec.Lat, deadline)
+}
+
+// RhoSeen is ProbOnTime evaluated against the queue state most recently
+// passed to FreeMean or FreeTime for this core. BuildCandidates derives
+// every core's free-time mean before any candidate's ρ is demanded, and
+// queues never mutate mid-decision, so the recorded state is exactly the
+// decision's state — without each candidate carrying a queue copy through
+// the mapping hot path.
+func (e *FreeTimeEngine) RhoSeen(coreIdx, taskType int, ps cluster.PState, deadline float64) float64 {
+	c := &e.cores[coreIdx]
+	return e.ProbOnTime(coreIdx, c.seenQ, c.seenNow, taskType, ps, deadline, nil)
 }
 
 // hwFor returns the core's dense tail ⊛ headL product for a cacheable head
@@ -522,21 +323,20 @@ func (e *FreeTimeEngine) hwFor(c *coreChain, q CoreQueue, headL *pmf.Lattice, cu
 	return &c.hw, false, folded
 }
 
-// gridHeadFor derives (and caches) the head stage in lattice form —
+// latticeHead derives (and caches) the head stage in lattice form —
 // bit-identical to Calculator.gridHead plus the head's mean. The shifted
-// base lattice is cached per version and its truncation per cut, exactly
-// mirroring headFor; uncacheable heads (unstarted: pure shift by now;
-// fully overdue: degenerate point at now) are returned with cut == -1 and
-// never stored.
-func (e *FreeTimeEngine) gridHeadFor(c *coreChain, q CoreQueue, now float64) (pmf.Lattice, float64, int) {
-	g := e.calc.grid
+// base lattice is cached per version and its truncation per cut;
+// uncacheable heads (unstarted: pure shift by now; fully overdue:
+// degenerate point at now) are returned with cut == -1 and never stored.
+func (e *FreeTimeEngine) latticeHead(c *coreChain, q CoreQueue, now float64) (pmf.Lattice, float64, int) {
 	t0 := q.Tasks[0]
+	exec := e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState)
 	if !t0.Started {
-		lat := g.exec[t0.Type][q.Node][t0.PState].lat.Shift(now)
+		lat := exec.Lat.Shift(now)
 		return lat, lat.Mean(), -1
 	}
 	if !c.baseLOK || c.baseLVer != c.ver {
-		c.baseL = g.exec[t0.Type][q.Node][t0.PState].lat.Shift(t0.StartAt)
+		c.baseL = exec.Lat.Shift(t0.StartAt)
 		c.baseLVer = c.ver
 		c.baseLOK = true
 		c.headLOK = false
@@ -549,7 +349,7 @@ func (e *FreeTimeEngine) gridHeadFor(c *coreChain, q CoreQueue, now float64) (pm
 	if kept <= 0 {
 		// All remaining mass is overdue: the same degenerate point the
 		// naive pipeline produces. Depends on raw now, so never cached.
-		lat := pmf.PointLattice(now, g.step)
+		lat := pmf.PointLattice(now, e.calc.model.LatticeStep())
 		return lat, now, -1
 	}
 	c.headL = trunc
@@ -566,7 +366,7 @@ func (e *FreeTimeEngine) gridHeadFor(c *coreChain, q CoreQueue, now float64) (pm
 // cached, extended, and fresh tails are all bit-identical.
 func (e *FreeTimeEngine) tailFor(c *coreChain, q CoreQueue) (*pmf.Grid, bool) {
 	if len(q.Tasks) <= 1 {
-		return &e.calc.grid.identity, false
+		return &e.calc.identity, false
 	}
 	if c.tailOK && c.tailVer == c.ver && c.tailLen == len(q.Tasks)-1 {
 		return &c.tail, false
@@ -577,47 +377,3 @@ func (e *FreeTimeEngine) tailFor(c *coreChain, q CoreQueue) (*pmf.Grid, bool) {
 	c.tailOK = true
 	return &c.tail, true
 }
-
-// headFor derives (and caches) the started head stage for the core's
-// current queue at now, returning the truncated completion PMF, its mean,
-// and the truncation cut. cut < 0 marks a head whose value depends on the
-// raw decision instant (the whole support is overdue and the §IV-B
-// pipeline degenerates to Point(now)); such heads are never cached.
-func (e *FreeTimeEngine) headFor(coreIdx int, q CoreQueue, now float64) (pmf.PMF, float64, int) {
-	t0 := q.Tasks[0]
-	c := &e.cores[coreIdx]
-	if !c.compOK || c.compVer != c.ver {
-		c.comp = e.calc.model.ExecPMF(t0.Type, q.Node, t0.PState).Shift(t0.StartAt)
-		c.compVer = c.ver
-		c.compOK = true
-		c.headOK = false
-	}
-	cut := c.comp.SearchValue(now)
-	if cut == c.comp.Len() {
-		return pmf.Point(now), now, -1
-	}
-	if c.headOK && c.headVer == c.ver && c.headCut == cut {
-		return c.head, c.headMean, cut
-	}
-	if cut == 0 {
-		// TruncateBelow would clone; the impulses are identical, and the
-		// chain never mutates its head, so share comp directly.
-		c.head = c.comp
-	} else {
-		head, kept := c.comp.TruncateBelow(now)
-		if kept <= 0 {
-			// All remaining mass vanished: same degenerate Point(now) the
-			// naive pipeline produces. Not cacheable.
-			return head, now, -1
-		}
-		c.head = head
-	}
-	c.headMean = c.head.Mean()
-	c.headCut = cut
-	c.headVer = c.ver
-	c.headOK = true
-	return c.head, c.headMean, cut
-}
-
-// NumCores returns the number of cores the engine tracks.
-func (e *FreeTimeEngine) NumCores() int { return len(e.cores) }

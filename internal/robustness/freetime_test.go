@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/pmf"
 	"repro/internal/randx"
-	"repro/internal/workload"
 )
 
 // assertBitIdentical fails unless got and want have exactly the same
@@ -28,31 +26,6 @@ func assertBitIdentical(t *testing.T, step int, got, want pmf.PMF) {
 	}
 }
 
-// naiveFreeMean replicates the linearity shortcut's arithmetic exactly:
-// the truncated head completion mean (or now + mean for an unstarted
-// head), plus the waiting tasks' execution means in queue order.
-func naiveFreeMean(m *workload.Model, q CoreQueue, now float64) float64 {
-	if len(q.Tasks) == 0 {
-		return now
-	}
-	mean := 0.0
-	for i, task := range q.Tasks {
-		exec := m.ExecPMF(task.Type, q.Node, task.PState)
-		if i == 0 {
-			if task.Started {
-				comp := exec.Shift(task.StartAt)
-				comp, _ = comp.TruncateBelow(now)
-				mean = comp.Mean()
-			} else {
-				mean = now + exec.Mean()
-			}
-			continue
-		}
-		mean += exec.Mean()
-	}
-	return mean
-}
-
 // propSteps returns the mutation budget for the property test; verify.sh
 // tier 2 raises it via FREETIME_PROP_STEPS.
 func propSteps(t *testing.T, def int) int {
@@ -66,209 +39,8 @@ func propSteps(t *testing.T, def int) int {
 	return def
 }
 
-// TestFreeTimeEngineMatchesNaiveUnderMutation drives a randomized sequence
-// of enqueue / start / complete / cancel / fault-requeue mutations against
-// one core, with the engine hooks a real event loop would call, and
-// asserts after every step that the cached free-time PMF and mean are
-// bit-identical to a from-scratch naive recomputation. This is the
-// acceptance proof that the cross-decision chain cache never changes
-// results.
-func TestFreeTimeEngineMatchesNaiveUnderMutation(t *testing.T) {
-	for _, seed := range []uint64{99, 1234, 777777} {
-		m := buildModel(t, seed)
-		calc := NewCalculator(m)
-		eng := NewFreeTimeEngine(calc, 1)
-		rng := randx.NewStream(seed * 31)
-		steps := propSteps(t, 500)
-		node := rng.IntN(m.Cluster.N())
-		tavg := m.TAvg()
-		types := m.Params.TaskTypes
-
-		var tasks []QueuedTask
-		now := 0.0
-		for step := 0; step < steps; step++ {
-			switch op := rng.IntN(100); {
-			case op < 40: // enqueue at the tail, as arrive()/place() do
-				qt := QueuedTask{
-					Type:     rng.IntN(types),
-					PState:   cluster.PState(rng.IntN(cluster.NumPStates)),
-					Deadline: now + tavg*(0.5+2*rng.Float64()),
-				}
-				tasks = append(tasks, qt)
-				if len(tasks) == 1 {
-					// An empty core starts the task immediately.
-					tasks[0].Started = true
-					tasks[0].StartAt = now
-					eng.Invalidate(0)
-				} else {
-					eng.OnEnqueue(0, node, qt.Type, qt.PState, len(tasks))
-				}
-			case op < 60: // complete the head; the next task starts
-				if len(tasks) == 0 {
-					continue
-				}
-				tasks = tasks[1:]
-				if len(tasks) > 0 {
-					tasks[0].Started = true
-					tasks[0].StartAt = now
-				}
-				eng.Invalidate(0)
-			case op < 68: // cancel an overdue waiting task mid-queue
-				if len(tasks) < 2 {
-					continue
-				}
-				i := 1 + rng.IntN(len(tasks)-1)
-				tasks = append(tasks[:i], tasks[i+1:]...)
-				eng.Invalidate(0)
-			case op < 76: // fault: the core goes down and sheds its queue
-				tasks = nil
-				eng.Invalidate(0)
-			case op < 82: // repaired core receives work it has not started
-				if len(tasks) != 0 {
-					continue
-				}
-				tasks = append(tasks, QueuedTask{
-					Type:     rng.IntN(types),
-					PState:   cluster.PState(rng.IntN(cluster.NumPStates)),
-					Deadline: now + tavg,
-				})
-				eng.Invalidate(0)
-			case op < 94: // time advances a little (truncation cut may drift)
-				now += tavg * 0.3 * rng.Float64()
-			default: // time leaps (head may become fully overdue)
-				now += tavg * (1 + 3*rng.Float64())
-			}
-			if rng.IntN(4) == 0 {
-				continue // mutate again before querying: chains must survive coalesced updates
-			}
-			q := CoreQueue{Node: node, Tasks: append([]QueuedTask(nil), tasks...)}
-			want := calc.FreeTime(q, now)
-			got := eng.FreeTime(0, q, now)
-			assertBitIdentical(t, step, got, want)
-			// A second query of the unchanged queue must hit and stay identical.
-			assertBitIdentical(t, step, eng.FreeTime(0, q, now), want)
-			if gm, wm := eng.FreeMean(0, q, now), naiveFreeMean(m, q, now); gm != wm {
-				t.Fatalf("step %d: FreeMean %v, want %v", step, gm, wm)
-			}
-			// The shared-head one-shot path (cache-miss fallback in sched)
-			// must also be bit-identical.
-			assertBitIdentical(t, step, calc.FreeTimeFrom(calc.HeadPMF(q, now), q, now), want)
-			// ρ through the completion cache must equal the naive evaluation
-			// to the last bit, both when first derived and on a cached
-			// repeat of the same (type, P-state) pair.
-			ct := rng.IntN(types)
-			cp := cluster.PState(rng.IntN(cluster.NumPStates))
-			cd := now + tavg*(0.5+2*rng.Float64())
-			wantRho := calc.ProbOnTime(want, ct, node, cp, cd)
-			if gr := eng.ProbOnTime(0, q, now, ct, cp, cd, nil); gr != wantRho {
-				t.Fatalf("step %d: ProbOnTime %v, want %v", step, gr, wantRho)
-			}
-			if gr := eng.ProbOnTime(0, q, now, ct, cp, cd, nil); gr != wantRho {
-				t.Fatalf("step %d: cached ProbOnTime %v, want %v", step, gr, wantRho)
-			}
-			// A deliberately tight deadline exercises the infeasibility
-			// short-circuit, which must agree with the naive evaluation.
-			td := now + tavg*0.2*rng.Float64()
-			wantRho = calc.ProbOnTime(want, ct, node, cp, td)
-			if gr := eng.ProbOnTime(0, q, now, ct, cp, td, nil); gr != wantRho {
-				t.Fatalf("step %d: tight-deadline ProbOnTime %v, want %v", step, gr, wantRho)
-			}
-		}
-	}
-}
-
-// TestFreeTimeEngineCounters pins the hit/miss/extend/rebuild semantics.
-func TestFreeTimeEngineCounters(t *testing.T) {
-	m := buildModel(t, 21)
-	calc := NewCalculator(m)
-	eng := NewFreeTimeEngine(calc, 2)
-	reg := metrics.NewRegistry()
-	hits := reg.Counter("hits")
-	misses := reg.Counter("misses")
-	extends := reg.Counter("extends")
-	rebuilds := reg.Counter("rebuilds")
-	compHits := reg.Counter("comp_hits")
-	compMisses := reg.Counter("comp_misses")
-	compSkips := reg.Counter("comp_skips")
-	eng.Instrument(hits, misses, extends, rebuilds, compHits, compMisses, compSkips)
-
-	q := CoreQueue{Node: 0, Tasks: []QueuedTask{
-		{Type: 0, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 0},
-		{Type: 1, PState: cluster.P1, Deadline: 1e9},
-	}}
-	now := m.ExecPMF(0, 0, cluster.P0).Mean() * 0.1
-
-	eng.FreeTime(0, q, now)
-	if misses.Value() != 1 {
-		t.Fatalf("first query: misses = %d, want 1", misses.Value())
-	}
-	eng.FreeTime(0, q, now)
-	if hits.Value() != 1 {
-		t.Fatalf("second query: hits = %d, want 1", hits.Value())
-	}
-
-	// An enqueue extends the chain with one convolution; the next query hits.
-	q.Tasks = append(q.Tasks, QueuedTask{Type: 2, PState: cluster.P2, Deadline: 1e9})
-	eng.OnEnqueue(0, 0, 2, cluster.P2, len(q.Tasks))
-	if extends.Value() != 1 {
-		t.Fatalf("extends = %d, want 1", extends.Value())
-	}
-	before := pmf.ReadOpCounts()
-	eng.FreeTime(0, q, now)
-	if hits.Value() != 2 {
-		t.Fatalf("post-extend query: hits = %d, want 2", hits.Value())
-	}
-	if d := pmf.ReadOpCounts().Sub(before); d.Convolutions != 0 {
-		t.Fatalf("cache hit performed %d convolutions, want 0", d.Convolutions)
-	}
-
-	// Advancing now past the head's first impulse drifts the cut: the same
-	// queue is re-derived and counted as a rebuild, not a miss.
-	head := m.ExecPMF(0, 0, cluster.P0)
-	later := head.Value(0) + 1e-9
-	if later <= now {
-		t.Fatalf("test setup: later %v <= now %v", later, now)
-	}
-	eng.FreeTime(0, q, later)
-	if rebuilds.Value() != 1 {
-		t.Fatalf("rebuilds = %d, want 1", rebuilds.Value())
-	}
-
-	// Invalidation forces a miss.
-	eng.Invalidate(0)
-	eng.FreeTime(0, q, later)
-	if misses.Value() != 2 {
-		t.Fatalf("post-invalidate query: misses = %d, want 2", misses.Value())
-	}
-
-	// Completion cache: the first ρ for a (type, P-state) pair convolves
-	// and stores; a repeat against the unchanged chain answers from the
-	// cache with zero convolutions; invalidation forces re-derivation.
-	deadline := later + 10*head.Mean()
-	r1 := eng.ProbOnTime(0, q, later, 3, cluster.P1, deadline, nil)
-	if compMisses.Value() != 1 {
-		t.Fatalf("first ρ: comp misses = %d, want 1", compMisses.Value())
-	}
-	before = pmf.ReadOpCounts()
-	r2 := eng.ProbOnTime(0, q, later, 3, cluster.P1, deadline, nil)
-	if compHits.Value() != 1 {
-		t.Fatalf("second ρ: comp hits = %d, want 1", compHits.Value())
-	}
-	if d := pmf.ReadOpCounts().Sub(before); d.Convolutions != 0 {
-		t.Fatalf("completion-cache hit performed %d convolutions, want 0", d.Convolutions)
-	}
-	if r1 != r2 {
-		t.Fatalf("cached ρ %v differs from fresh ρ %v", r2, r1)
-	}
-	eng.Invalidate(0)
-	eng.ProbOnTime(0, q, later, 3, cluster.P1, deadline, nil)
-	if compMisses.Value() != 2 {
-		t.Fatalf("post-invalidate ρ: comp misses = %d, want 2", compMisses.Value())
-	}
-}
-
-// TestExactRhoParity bounds the divergence between the default compacted
-// completion-PMF pipeline and the opt-in exact double-sum: both are
+// TestExactRhoParity bounds the divergence between the paper's compacted
+// completion-PMF pipeline and the exact double-sum oracle: both are
 // estimates of the same P(free + exec <= deadline); they may differ only
 // by the compaction's support distortion.
 func TestExactRhoParity(t *testing.T) {

@@ -5,84 +5,26 @@ import (
 	"repro/internal/pmf"
 )
 
-// Fixed-grid (lattice) evaluation mode. EnableGrid snaps every execution
-// PMF in the model onto a common lattice once; from then on the §IV-B
-// pipeline runs in grid form end-to-end — heads and execution PMFs stay
-// sparse-on-lattice, chain products stay dense, and ρ is answered by
-// pmf.TripleConvCDF against the waiting-tail product's prefix sums with no
-// completion PMF materialized. The Grid* methods below are the naive
-// (uncached) reference; FreeTimeEngine.SetGrid routes the engine through
-// the same primitives with per-core caching and must stay bit-identical to
-// them (the grid mutation property test enforces this with ==).
+// Fixed-grid (lattice) evaluation. The workload model carries every
+// execution PMF snapped onto one shared lattice (workload.Model.ExecLattice,
+// step t_avg/workload.LatticeRes), and the §IV-B pipeline runs on it
+// end-to-end: heads and execution PMFs stay sparse-on-lattice, chain
+// products stay dense, and ρ is answered by pmf.TripleConvCDF against the
+// waiting-tail product's prefix sums with no completion PMF materialized.
+// The Grid* methods below are the naive (uncached) reference;
+// FreeTimeEngine — the production path — runs the same primitives with
+// per-core caching and must stay bit-identical to them (the grid mutation
+// property test enforces this with ==).
 //
 // Numerical contract: snapping moves each execution impulse by at most
-// step/2, so grid ρ and the sparse pipeline's ρ may differ — the grid is a
-// different (finer-grained, exactly-convolved) approximation of the same
-// chain, not a bit-compatible replacement. The parity test bounds grid ρ
+// step/2, so lattice ρ and the sparse chain's ρ may differ — the lattice is
+// a different (finer-grained, exactly-convolved) approximation of the same
+// chain, not a bit-compatible replacement. The parity test bounds lattice ρ
 // between exact-ρ evaluations of deadlines shifted by the accumulated
-// quantization slack. Selecting the mode is therefore a config decision
-// (sim/server Config.SparsePMF opts back into the paper pipeline), and
-// record/replay gates are unaffected because both sides of any replay run
-// the same mode.
+// quantization slack.
 
-// DefaultGridRes divides the model's mean execution time T_avg to obtain
-// the default lattice step: T_avg/64 keeps per-impulse quantization under
-// 0.8% of a typical execution time while a depth-10 chain product stays a
-// few thousand bins.
-const DefaultGridRes = 64
-
-// gridExec is one execution PMF snapped onto the shared lattice, with the
-// derived scalars the hot path reads per candidate.
-type gridExec struct {
-	lat  pmf.Lattice
-	mean float64
-	min  float64
-}
-
-// gridTable holds the lattice forms of every execution PMF, indexed like
-// workload.Model's table: [taskType][node][pstate].
-type gridTable struct {
-	step     float64
-	identity pmf.Grid // shared convolution identity, minted once
-	exec     [][][]gridExec
-}
-
-// EnableGrid builds the lattice execution table for the given step (<= 0
-// selects TAvg/DefaultGridRes) and switches the Grid* evaluators on.
-// Idempotent for the same step; call once before the calculator is shared.
-func (c *Calculator) EnableGrid(step float64) {
-	if step <= 0 {
-		step = c.model.TAvg() / DefaultGridRes
-	}
-	if c.grid != nil && c.grid.step == step {
-		return
-	}
-	types := c.model.Params.TaskTypes
-	nodes := c.model.Cluster.N()
-	g := &gridTable{step: step, identity: pmf.IdentityGrid(step), exec: make([][][]gridExec, types)}
-	for t := 0; t < types; t++ {
-		g.exec[t] = make([][]gridExec, nodes)
-		for n := 0; n < nodes; n++ {
-			g.exec[t][n] = make([]gridExec, cluster.NumPStates)
-			for _, ps := range cluster.AllPStates() {
-				lat := pmf.ToLattice(c.model.ExecPMF(t, n, ps), step)
-				g.exec[t][n][ps] = gridExec{lat: lat, mean: lat.Mean(), min: lat.Min()}
-			}
-		}
-	}
-	c.grid = g
-}
-
-// GridEnabled reports whether the lattice table has been built.
-func (c *Calculator) GridEnabled() bool { return c.grid != nil }
-
-// GridStep returns the lattice step, or 0 when the grid is disabled.
-func (c *Calculator) GridStep() float64 {
-	if c.grid == nil {
-		return 0
-	}
-	return c.grid.step
-}
+// GridStep returns the step of the model's lattice.
+func (c *Calculator) GridStep() float64 { return c.model.LatticeStep() }
 
 // gridHead derives the head stage of q's chain in lattice form: the
 // running task's execution lattice shifted by its start with past impulses
@@ -91,12 +33,12 @@ func (c *Calculator) GridStep() float64 {
 // index; every now-dependent degenerate case (empty queue, fully overdue
 // head) yields a point lattice at now with cut == -1.
 func (c *Calculator) gridHead(q CoreQueue, now float64) (head pmf.Lattice, cut int) {
-	g := c.grid
+	step := c.model.LatticeStep()
 	if len(q.Tasks) == 0 {
-		return pmf.PointLattice(now, g.step), -1
+		return pmf.PointLattice(now, step), -1
 	}
 	t0 := q.Tasks[0]
-	base := g.exec[t0.Type][q.Node][t0.PState].lat
+	base := c.model.ExecLattice(t0.Type, q.Node, t0.PState).Lat
 	if !t0.Started {
 		return base.Shift(now), -1
 	}
@@ -104,7 +46,7 @@ func (c *Calculator) gridHead(q CoreQueue, now float64) (head pmf.Lattice, cut i
 	k := base.SearchValue(now)
 	trunc, kept := base.TruncateAt(k)
 	if kept <= 0 {
-		return pmf.PointLattice(now, g.step), -1
+		return pmf.PointLattice(now, step), -1
 	}
 	return trunc, k
 }
@@ -114,18 +56,17 @@ func (c *Calculator) gridHead(q CoreQueue, now float64) (head pmf.Lattice, cut i
 // that lattice associativity lets the engine cache and extend. An empty
 // tail is the convolution identity.
 func (c *Calculator) gridTail(q CoreQueue) pmf.Grid {
-	g := c.grid
-	w := g.identity
+	w := c.identity
 	if len(q.Tasks) == 0 {
 		return w
 	}
 	for _, t := range q.Tasks[1:] {
-		w = w.ConvolveLattice(g.exec[t.Type][q.Node][t.PState].lat)
+		w = w.ConvolveLattice(c.model.ExecLattice(t.Type, q.Node, t.PState).Lat)
 	}
 	return w
 }
 
-// GridFreeTime is the grid-mode form of FreeTime: the head lattice
+// GridFreeTime is the lattice form of FreeTime: the head lattice
 // convolved into the waiting-tail product, materialized sparse. An empty
 // queue yields the degenerate distribution at now.
 func (c *Calculator) GridFreeTime(q CoreQueue, now float64) pmf.PMF {
@@ -137,7 +78,7 @@ func (c *Calculator) GridFreeTime(q CoreQueue, now float64) pmf.PMF {
 	return c.gridTail(q).ConvolveLattice(head).PMF()
 }
 
-// GridFreeMean is the grid-mode form of the linearity shortcut: the
+// GridFreeMean is the lattice form of the linearity shortcut: the
 // (truncated) head lattice mean plus the waiting tasks' lattice means.
 func (c *Calculator) GridFreeMean(q CoreQueue, now float64) float64 {
 	if len(q.Tasks) == 0 {
@@ -145,20 +86,19 @@ func (c *Calculator) GridFreeMean(q CoreQueue, now float64) float64 {
 	}
 	head, _ := c.gridHead(q, now)
 	mean := head.Mean()
-	g := c.grid
 	for _, t := range q.Tasks[1:] {
-		mean += g.exec[t.Type][q.Node][t.PState].mean
+		mean += c.model.ExecLattice(t.Type, q.Node, t.PState).Mean
 	}
 	return mean
 }
 
-// GridProbOnTime is the grid-mode ρ(i,j,k,π,t_l,z): P(head + tail + exec ≤
+// GridProbOnTime is the lattice ρ(i,j,k,π,t_l,z): P(head + tail + exec ≤
 // deadline) answered by pmf.TripleConvCDF with no completion distribution
 // materialized.
 func (c *Calculator) GridProbOnTime(q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64) float64 {
 	c.completionEvals.Inc()
 	head, cut := c.gridHead(q, now)
-	exec := &c.grid.exec[taskType][q.Node][ps].lat
+	exec := &c.model.ExecLattice(taskType, q.Node, ps).Lat
 	w := c.gridTail(q)
 	if cut >= 0 {
 		// Cacheable head: materialize the tail⊛head product and answer

@@ -7,24 +7,23 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pmf"
 	"repro/internal/randx"
+	"repro/internal/workload"
 )
 
-// TestFreeTimeEngineGridMatchesNaiveUnderMutation is the grid-mode twin of
-// the sparse mutation property test: a randomized enqueue / start /
-// complete / cancel / fault / time-leap sequence with the engine hooks a
-// real event loop would call, asserting after every step that the cached
-// grid pipeline (tail product, head truncation, materialized chain, ρ
-// kernel) is bit-identical to the Calculator's naive Grid* reference
-// methods. This is the acceptance proof that grid-mode caching never
-// changes results.
+// TestFreeTimeEngineGridMatchesNaiveUnderMutation drives a randomized
+// enqueue / start / complete / cancel / fault / time-leap sequence with the
+// engine hooks a real event loop would call, asserting after every step
+// that the cached lattice pipeline (tail product, head truncation,
+// materialized chain, ρ kernel) is bit-identical to the Calculator's naive
+// Grid* reference methods. This is the acceptance proof that the engine's
+// caching never changes results.
 func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 	for _, seed := range []uint64{3, 4242, 555555} {
 		m := buildModel(t, seed)
 		calc := NewCalculator(m)
 		eng := NewFreeTimeEngine(calc, 1)
-		eng.SetGrid(true)
-		if !eng.Grid() || !calc.GridEnabled() || calc.GridStep() <= 0 {
-			t.Fatal("grid mode not plumbed")
+		if calc.GridStep() != m.TAvg()/workload.LatticeRes {
+			t.Fatalf("lattice step %v, want t_avg/%d", calc.GridStep(), workload.LatticeRes)
 		}
 		rng := randx.NewStream(seed * 17)
 		steps := propSteps(t, 500)
@@ -96,6 +95,10 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 			if gm, wm := eng.FreeMean(0, q, now), calc.GridFreeMean(q, now); gm != wm {
 				t.Fatalf("step %d: grid FreeMean %v, want %v", step, gm, wm)
 			}
+			// The engine-less oracle path in sched derives the sparse head
+			// once (HeadPMF) and shares it with the chain; that shortcut
+			// must equal the plain sparse chain on the same queue.
+			assertBitIdentical(t, step, calc.FreeTimeFrom(calc.HeadPMF(q, now), q, now), calc.FreeTime(q, now))
 			ct := rng.IntN(types)
 			cp := cluster.PState(rng.IntN(cluster.NumPStates))
 			cd := now + tavg*(0.5+2*rng.Float64())
@@ -126,7 +129,6 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 func TestGridRhoParity(t *testing.T) {
 	m := buildModel(t, 31)
 	calc := NewCalculator(m)
-	calc.EnableGrid(0)
 	step := calc.GridStep()
 	rng := randx.NewStream(77)
 	tavg := m.TAvg()
@@ -170,20 +172,18 @@ func TestGridRhoParity(t *testing.T) {
 	}
 }
 
-// TestGridEngineCounters pins the grid-mode counter semantics documented
-// on InstrumentGrid.
+// TestGridEngineCounters pins the counter semantics documented on
+// Instrument.
 func TestGridEngineCounters(t *testing.T) {
 	m := buildModel(t, 8)
 	calc := NewCalculator(m)
 	eng := NewFreeTimeEngine(calc, 1)
-	eng.SetGrid(true)
 	reg := metrics.NewRegistry()
 	hits, misses := reg.Counter("h"), reg.Counter("m")
 	extends, rebuilds := reg.Counter("e"), reg.Counter("r")
-	compHits, compMisses, compSkips := reg.Counter("ch"), reg.Counter("cm"), reg.Counter("cs")
+	compSkips := reg.Counter("cs")
 	gridRho, fHits, fMisses := reg.Counter("g"), reg.Counter("fh"), reg.Counter("fm")
-	eng.Instrument(hits, misses, extends, rebuilds, compHits, compMisses, compSkips)
-	eng.InstrumentGrid(gridRho, fHits, fMisses)
+	eng.Instrument(hits, misses, extends, rebuilds, compSkips, gridRho, fHits, fMisses)
 
 	q := CoreQueue{Node: 0, Tasks: []QueuedTask{
 		{Type: 0, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 0},
@@ -213,16 +213,12 @@ func TestGridEngineCounters(t *testing.T) {
 		t.Fatalf("post-extend rebuild did %d lattice convolutions, want 1", d.GridConvolutions)
 	}
 
-	// ρ answered by the kernel counts gridRho and a tail-cache hit; no
-	// completion PMF is built in grid mode.
+	// ρ answered by the kernel counts gridRho and a tail-cache hit.
 	deadline := now + 20*m.TAvg()
 	eng.ProbOnTime(0, q, now, 3, cluster.P1, deadline, nil)
 	if gridRho.Value() != 1 || fHits.Value() != 1 || fMisses.Value() != 0 {
 		t.Fatalf("grid ρ counters: rho=%d fh=%d fm=%d, want 1/1/0",
 			gridRho.Value(), fHits.Value(), fMisses.Value())
-	}
-	if compHits.Value() != 0 || compMisses.Value() != 0 {
-		t.Fatalf("completion cache touched in grid mode: %d/%d", compHits.Value(), compMisses.Value())
 	}
 	// An infeasible deadline is short-circuited without a kernel pass.
 	if v := eng.ProbOnTime(0, q, now, 3, cluster.P1, now*(1-1e-6), nil); v != 0 {

@@ -48,14 +48,13 @@ type CoreQueue struct {
 type Calculator struct {
 	model *workload.Model
 
-	// exactRho switches ProbOnTime to the direct double-sum evaluation
-	// (see SetExactRho). Set once before use; not synchronized.
+	// exactRho switches ProbOnTime to the direct double-sum oracle (see
+	// SetExactRho). Set once before use; not synchronized.
 	exactRho bool
 
-	// grid, when non-nil, holds the lattice execution table the Grid*
-	// evaluators and the engine's grid mode read. Built once by EnableGrid
-	// before the calculator is shared; not synchronized.
-	grid *gridTable
+	// identity is the convolution identity on the model's lattice, minted
+	// once: the empty waiting tail of every chain.
+	identity pmf.Grid
 
 	// Optional instrumentation, attached via Instrument. The counters are
 	// atomic, so attaching them preserves concurrent safety; nil counters
@@ -69,7 +68,7 @@ func NewCalculator(m *workload.Model) *Calculator {
 	if m == nil {
 		panic("robustness: nil model")
 	}
-	return &Calculator{model: m}
+	return &Calculator{model: m, identity: pmf.IdentityGrid(m.LatticeStep())}
 }
 
 // Instrument attaches counters for free-time chain evaluations (one per
@@ -81,14 +80,15 @@ func (c *Calculator) Instrument(freeTimeEvals, completionEvals *metrics.Counter)
 	c.completionEvals = completionEvals
 }
 
-// SetExactRho switches ProbOnTime between the paper-faithful pipeline
+// SetExactRho switches ProbOnTime from the paper's sparse pipeline
 // (materialize the compacted completion PMF, read its CDF at the deadline)
-// and a direct double-sum evaluation of P(free + exec <= deadline) that
-// skips both the convolution's impulse product materialization and its
-// lossy compaction. The exact mode is opt-in and off by default: it is
-// numerically tighter (no compaction error in the tail) and allocation
-// free, but therefore NOT bit-identical to the paper pipeline. Set once
-// before the calculator is shared; the flag is not synchronized.
+// to a direct double-sum evaluation of P(free + exec <= deadline) that has
+// no compaction error in the tail. This is the oracle the production
+// lattice path is checked against: an uncached reference that shares
+// nothing with the lattice (no table, no FreeTimeEngine) and is slower than
+// production, since every decision re-derives each queried core's sparse
+// chain. Set once before the calculator is shared; the flag is not
+// synchronized.
 func (c *Calculator) SetExactRho(on bool) { c.exactRho = on }
 
 // ExactRho reports whether the exact-ρ evaluation mode is active.

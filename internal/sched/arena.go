@@ -44,10 +44,9 @@ func (a *Arena) grow(maxCands, nCores int) {
 }
 
 // coreShare is the per-core slice of one decision's free-time memo: the
-// queue snapshot plus a lazily materialized free-time distribution shared
-// by all of the core's P-state candidates. It implements
-// robustness.FreeSource as a pointer receiver, so handing it to the engine
-// costs no closure allocation.
+// queue snapshot plus a lazily materialized sparse free-time distribution
+// shared by all of the core's P-state candidates. Predict reads it, and so
+// does every ρ on the engine-less reference path.
 type coreShare struct {
 	ft       *robustness.FreeTimeEngine
 	calc     *robustness.Calculator

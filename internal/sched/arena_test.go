@@ -12,78 +12,73 @@ import (
 // every candidate bit-identically — the arena changes where candidates
 // live, never what they contain.
 func TestArenaMatchesFreshAllocation(t *testing.T) {
-	for _, grid := range []bool{false, true} {
-		f := newFixture(t, 11)
-		f.view.push(0, robustness.QueuedTask{Type: 1, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 50})
-		f.view.push(0, robustness.QueuedTask{Type: 3, PState: cluster.P1, Deadline: 1e9})
-		f.view.push(2, robustness.QueuedTask{Type: 0, PState: cluster.P2, Deadline: 1e9})
+	f := newFixture(t, 11)
+	f.view.push(0, robustness.QueuedTask{Type: 1, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 50})
+	f.view.push(0, robustness.QueuedTask{Type: 3, PState: cluster.P1, Deadline: 1e9})
+	f.view.push(2, robustness.QueuedTask{Type: 0, PState: cluster.P2, Deadline: 1e9})
 
-		mkCtx := func(arena *Arena) *Context {
-			ctx := f.ctx()
-			eng := robustness.NewFreeTimeEngine(f.calc, f.view.NumCores())
-			eng.SetGrid(grid)
-			ctx.FreeTimes = eng
-			ctx.Arena = arena
-			return ctx
+	mkCtx := func(arena *Arena) *Context {
+		ctx := f.ctx()
+		ctx.FreeTimes = robustness.NewFreeTimeEngine(f.calc, f.view.NumCores())
+		ctx.Arena = arena
+		return ctx
+	}
+
+	fresh := mkCtx(nil)
+	want := BuildCandidates(fresh, f.view)
+
+	arena := NewArena()
+	m := &Mapper{Heuristic: LightestLoad{}, Filters: EnergyAndRobustness.Filters()}
+	// Several rounds over the same arena: steady-state reuse must not
+	// leak one decision's state into the next.
+	for round := 0; round < 3; round++ {
+		ctx := mkCtx(arena)
+		got := BuildCandidates(ctx, f.view)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d candidates, want %d", round, len(got), len(want))
 		}
-
-		fresh := mkCtx(nil)
-		want := BuildCandidates(fresh, f.view)
-
-		arena := NewArena()
-		m := &Mapper{Heuristic: LightestLoad{}, Filters: EnergyAndRobustness.Filters()}
-		// Several rounds over the same arena: steady-state reuse must not
-		// leak one decision's state into the next.
-		for round := 0; round < 3; round++ {
-			ctx := mkCtx(arena)
-			got := BuildCandidates(ctx, f.view)
-			if len(got) != len(want) {
-				t.Fatalf("grid=%v round %d: %d candidates, want %d", grid, round, len(got), len(want))
+		for i := range want {
+			if got[i].Core != want[i].Core || got[i].PState != want[i].PState {
+				t.Fatalf("round %d cand %d: (%v,%v) vs (%v,%v)",
+					round, i, got[i].Core, got[i].PState, want[i].Core, want[i].PState)
 			}
-			for i := range want {
-				if got[i].Core != want[i].Core || got[i].PState != want[i].PState {
-					t.Fatalf("grid=%v round %d cand %d: (%v,%v) vs (%v,%v)",
-						grid, round, i, got[i].Core, got[i].PState, want[i].Core, want[i].PState)
-				}
-				if got[i].EET != want[i].EET || got[i].EEC != want[i].EEC || got[i].ECT() != want[i].ECT() {
-					t.Fatalf("grid=%v round %d cand %d: EET/EEC/ECT diverge", grid, round, i)
-				}
-				if g, w := got[i].Rho(), want[i].Rho(); g != w {
-					t.Fatalf("grid=%v round %d cand %d: arena Rho %v, fresh Rho %v", grid, round, i, g, w)
-				}
+			if got[i].EET != want[i].EET || got[i].EEC != want[i].EEC || got[i].ECT() != want[i].ECT() {
+				t.Fatalf("round %d cand %d: EET/EEC/ECT diverge", round, i)
+			}
+			if g, w := got[i].Rho(), want[i].Rho(); g != w {
+				t.Fatalf("round %d cand %d: arena Rho %v, fresh Rho %v", round, i, g, w)
 			}
 		}
+	}
 
-		// Full decision parity, including the in-place Map filter.
-		freshCtx := mkCtx(nil)
-		wantDec := m.Map(freshCtx, BuildCandidates(freshCtx, f.view))
-		arenaCtx := mkCtx(arena)
-		gotDec := m.Map(arenaCtx, BuildCandidates(arenaCtx, f.view))
-		if (wantDec == nil) != (gotDec == nil) {
-			t.Fatalf("grid=%v: map outcomes diverge: %v vs %v", grid, wantDec, gotDec)
+	// Full decision parity, including the in-place Map filter.
+	freshCtx := mkCtx(nil)
+	wantDec := m.Map(freshCtx, BuildCandidates(freshCtx, f.view))
+	arenaCtx := mkCtx(arena)
+	gotDec := m.Map(arenaCtx, BuildCandidates(arenaCtx, f.view))
+	if (wantDec == nil) != (gotDec == nil) {
+		t.Fatalf("map outcomes diverge: %v vs %v", wantDec, gotDec)
+	}
+	if wantDec != nil {
+		if gotDec.Core != wantDec.Core || gotDec.PState != wantDec.PState {
+			t.Fatalf("arena chose (%v,%v), fresh chose (%v,%v)",
+				gotDec.Core, gotDec.PState, wantDec.Core, wantDec.PState)
 		}
-		if wantDec != nil {
-			if gotDec.Core != wantDec.Core || gotDec.PState != wantDec.PState {
-				t.Fatalf("grid=%v: arena chose (%v,%v), fresh chose (%v,%v)",
-					grid, gotDec.Core, gotDec.PState, wantDec.Core, wantDec.PState)
-			}
-			if gotDec.Rho() != wantDec.Rho() || gotDec.ECT() != wantDec.ECT() {
-				t.Fatalf("grid=%v: decision scores diverge: %+v vs %+v", grid, gotDec, wantDec)
-			}
+		if gotDec.Rho() != wantDec.Rho() || gotDec.ECT() != wantDec.ECT() {
+			t.Fatalf("decision scores diverge: %+v vs %+v", gotDec, wantDec)
 		}
 	}
 }
 
 // TestArenaSteadyStateAllocs pins the tentpole's zero-alloc claim: once the
 // arena has grown to the cluster's candidate count, a full
-// enumerate-filter-score decision on the grid path stays allocation-free.
+// enumerate-filter-score decision through the engine stays allocation-free.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	f := newFixture(t, 12)
 	f.view.push(0, robustness.QueuedTask{Type: 1, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 80})
 	f.view.push(1, robustness.QueuedTask{Type: 2, PState: cluster.P1, Deadline: 1e9})
 
 	eng := robustness.NewFreeTimeEngine(f.calc, f.view.NumCores())
-	eng.SetGrid(true)
 	arena := NewArena()
 	ctx := f.ctx()
 	ctx.FreeTimes = eng

@@ -14,15 +14,16 @@ type Counters struct {
 	Decisions *metrics.Counter
 	// Candidates counts enumerated (core, P-state) assignments.
 	Candidates *metrics.Counter
-	// FreeTimeHits / FreeTimeMisses track the per-decision free-time
-	// distribution cache: a miss materializes the §IV-B convolution chain
-	// for a core, a hit reuses it for another P-state of the same core. In
-	// grid mode they track the same question per ρ evaluation against the
-	// engine's cached waiting-tail product (a miss folds the product).
+	// FreeTimeHits / FreeTimeMisses track free-time cache traffic. With the
+	// engine they count, per ρ evaluation, whether the cached waiting-tail
+	// product was reused or had to be folded; they also count the
+	// per-decision sparse distribution memo (Predict, and every ρ on the
+	// engine-less reference path): a miss materializes a core's §IV-B
+	// chain, a hit reuses it for another P-state of the same core.
 	FreeTimeHits   *metrics.Counter
 	FreeTimeMisses *metrics.Counter
-	// GridRho counts ρ evaluations answered by the fixed-grid
-	// TripleConvCDF kernel (zero when the sparse pipeline is active).
+	// GridRho counts ρ evaluations answered by the lattice CDF kernels
+	// (zero on the engine-less reference path).
 	GridRho *metrics.Counter
 	// RhoEvals counts ρ(i,j,k,π,t_l,z) evaluations (candidate-level
 	// completion-probability convolutions).
@@ -37,15 +38,10 @@ type Counters struct {
 	ChainMisses   *metrics.Counter
 	ChainExtends  *metrics.Counter
 	ChainRebuilds *metrics.Counter
-	// CompHits / CompMisses track the engine's completion-distribution
-	// cache: a hit answers a candidate's ρ from a cached
-	// Convolve(free, exec) with zero convolutions. CompSkips counts ρ
-	// evaluations resolved to exactly zero by the infeasibility bound
-	// (deadline below the completion support's minimum) without touching
-	// any distribution.
-	CompHits   *metrics.Counter
-	CompMisses *metrics.Counter
-	CompSkips  *metrics.Counter
+	// CompSkips counts ρ evaluations resolved to exactly zero by the
+	// infeasibility bound (deadline below the completion support's
+	// minimum) without touching any distribution.
+	CompSkips *metrics.Counter
 	// Discards counts tasks whose feasible set was filtered to empty.
 	Discards *metrics.Counter
 
@@ -69,8 +65,6 @@ func NewCounters(r *metrics.Registry, filters []Filter) *Counters {
 		ChainMisses:    r.Counter("robustness_chain_cache_misses_total"),
 		ChainExtends:   r.Counter("robustness_chain_cache_extends_total"),
 		ChainRebuilds:  r.Counter("robustness_chain_cache_rebuilds_total"),
-		CompHits:       r.Counter("robustness_completion_cache_hits_total"),
-		CompMisses:     r.Counter("robustness_completion_cache_misses_total"),
 		CompSkips:      r.Counter("robustness_completion_infeasible_skips_total"),
 		Discards:       r.Counter("sched_filtered_to_empty_total"),
 	}
@@ -81,14 +75,13 @@ func NewCounters(r *metrics.Registry, filters []Filter) *Counters {
 	return c
 }
 
-// InstrumentFreeTimes attaches the chain-cache counters to a free-time
-// engine. Nil-safe on both sides.
+// InstrumentFreeTimes attaches the cache counters to a free-time engine.
+// Nil-safe on both sides.
 func (c *Counters) InstrumentFreeTimes(e *robustness.FreeTimeEngine) {
 	if c == nil || e == nil {
 		return
 	}
-	e.Instrument(c.ChainHits, c.ChainMisses, c.ChainExtends, c.ChainRebuilds, c.CompHits, c.CompMisses, c.CompSkips)
-	e.InstrumentGrid(c.GridRho, c.FreeTimeHits, c.FreeTimeMisses)
+	e.Instrument(c.ChainHits, c.ChainMisses, c.ChainExtends, c.ChainRebuilds, c.CompSkips, c.GridRho, c.FreeTimeHits, c.FreeTimeMisses)
 }
 
 func (c *Counters) addDecision() {

@@ -51,8 +51,8 @@ type Candidate struct {
 	calc     *robustness.Calculator
 	counters *Counters
 	// ft, when non-nil, evaluates ρ through the cross-decision engine's
-	// completion cache (against the engine's per-core recorded queue state)
-	// instead of convolving free ⊛ exec per candidate.
+	// cached lattice chains (against the engine's per-core recorded queue
+	// state) instead of convolving free ⊛ exec per candidate.
 	ft *robustness.FreeTimeEngine
 
 	// rho memoizes Rho(); -1 (set by BuildCandidates) means not yet
@@ -73,7 +73,7 @@ func (c *Candidate) ECT() float64 { return c.freeMean + c.EET }
 func (c *Candidate) Rho() float64 {
 	if c.rho < 0 {
 		if c.ft != nil {
-			c.rho = c.ft.RhoSeen(c.CoreIdx, c.taskType, c.PState, c.deadline, c.share)
+			c.rho = c.ft.RhoSeen(c.CoreIdx, c.taskType, c.PState, c.deadline)
 		} else {
 			c.rho = c.calc.ProbOnTime(c.share.FreePMF(), c.taskType, c.Core.Node, c.PState, c.deadline)
 		}
@@ -133,11 +133,12 @@ type Context struct {
 	// Counters, when non-nil, receives hot-path instrumentation (candidate
 	// enumeration, free-time cache traffic, filter rejections).
 	Counters *Counters
-	// FreeTimes, when non-nil, is the cross-decision incremental free-time
-	// engine: BuildCandidates consults (and maintains) per-core cached
-	// convolution chains instead of rebuilding every distribution from
-	// scratch. Results are bit-identical either way; nil falls back to
-	// per-decision derivation.
+	// FreeTimes, when non-nil, is the production ρ path: the cross-decision
+	// free-time engine, whose per-core cached lattice chains answer
+	// FreeMean and ρ. Nil selects the engine-less reference — each
+	// decision derives the sparse §IV-B chain from scratch through Calc
+	// (HeadPMF → FreeTimeFrom → ProbOnTime), which with Calc.SetExactRho is
+	// the oracle sim.Config.ExactRho runs.
 	FreeTimes *robustness.FreeTimeEngine
 
 	// CoreUp, when non-nil, reports whether the core at a flat index is
@@ -238,12 +239,7 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 			// Field-wise assignment instead of a struct literal: the
 			// literal's stack temporary plus 128-byte duffcopy is
 			// measurable at 300 candidates per decision, and with an arena
-			// every field must be overwritten anyway. ρ routes through the
-			// engine's completion cache when one is attached: a repeat of
-			// the same (type, P-state) against an unchanged chain costs no
-			// convolution. The free-time access on a completion miss still
-			// goes through the share so the per-decision cache counters
-			// keep their meaning.
+			// every field must be overwritten anyway.
 			c.Assignment = Assignment{Core: id, CoreIdx: idx, PState: ps}
 			c.QueueLen = len(q.Tasks)
 			c.EET = eet

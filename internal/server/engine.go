@@ -214,17 +214,6 @@ type Config struct {
 	// DrainGrace bounds the wall time Drain may spend fast-forwarding
 	// in-flight work; defaults to 10s.
 	DrainGrace time.Duration
-	// ExactRho switches candidate ρ evaluation to the direct double-sum
-	// P(free + exec <= deadline) instead of materializing and compacting
-	// the completion PMF (robustness.Calculator.SetExactRho). Numerically
-	// tighter and allocation-free on the serving hot path, but not
-	// bit-identical to the simulation default; off by default.
-	ExactRho bool
-	// SparsePMF forces the §IV-B chains through the original sparse
-	// impulse pipeline. By default the serving engine runs on the
-	// fixed-grid lattice fast path (see sim.Config.SparsePMF); ExactRho
-	// implies the sparse pipeline.
-	SparsePMF bool
 	// NoShedInfeasible disables deadline-aware admission shedding (tasks
 	// with hopeless deadlines then run the full filter chain instead).
 	NoShedInfeasible bool
@@ -622,12 +611,6 @@ func Prepare(cfg Config) (*Engine, error) {
 	}
 	e.queues = make([][]queued, len(e.cores))
 	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.cores))
-	if cfg.ExactRho {
-		e.calc.SetExactRho(true)
-	}
-	if !cfg.SparsePMF && !cfg.ExactRho {
-		e.ftc.SetGrid(true)
-	}
 	e.arena = sched.NewArena()
 	e.qbuf = make([][]robustness.QueuedTask, len(e.cores))
 	e.runGen = make([]int, len(e.cores))
@@ -680,6 +663,9 @@ func Prepare(cfg Config) (*Engine, error) {
 // the schedule instead), opens the WAL when configured, clears the
 // recovering flag, and launches the engine goroutine.
 func (e *Engine) Start() error {
+	if e.draining.Load() {
+		return errors.New("server: Start after Close")
+	}
 	if e.needSchedule {
 		e.scheduleFaults()
 		e.needSchedule = false
@@ -952,13 +938,22 @@ func (e *Engine) Sync() {
 }
 
 // Close stops the engine goroutine without draining (tests and error
-// paths). Admitted-but-undecided requests are answered as timed out.
+// paths). Admitted-but-undecided requests are answered as timed out. On a
+// prepared engine that was never started it releases what Prepare and
+// RecoverFrom hold and returns; Start then refuses.
 func (e *Engine) Close() {
 	if e.draining.Swap(true) {
 		<-e.doneCh
 		return
 	}
 	close(e.stopCh)
+	if e.recovering.Load() {
+		// No loop is running to see stopCh and close doneCh.
+		if e.wal != nil {
+			_ = e.wal.close()
+		}
+		close(e.doneCh)
+	}
 	<-e.doneCh
 }
 

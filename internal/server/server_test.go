@@ -464,6 +464,28 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestCloseBeforeStart: Close on a prepared engine whose loop never ran must
+// return (nothing else will ever close doneCh), and Start must then refuse.
+func TestCloseBeforeStart(t *testing.T) {
+	eng, err := Prepare(Config{Model: buildModel(t, 11), Mapper: testMapper(sched.NoFilter)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		eng.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked on an engine that was never started")
+	}
+	if err := eng.Start(); err == nil {
+		t.Fatal("Start succeeded after Close")
+	}
+}
+
 func TestStatsSnapshotAndMetrics(t *testing.T) {
 	m := buildModel(t, 12)
 	reg := metrics.NewRegistry()

@@ -95,20 +95,14 @@ type Config struct {
 	// energy.BrownoutStage / energy.DefaultBrownoutStages. Requires a
 	// finite EnergyBudget; nil reproduces the paper.
 	Brownout []energy.BrownoutStage
-	// ExactRho switches candidate ρ evaluation to the direct double-sum
-	// P(free + exec <= deadline) instead of materializing and compacting
-	// the completion PMF (robustness.Calculator.SetExactRho). Numerically
-	// tighter and allocation-free, but not bit-identical to the paper
-	// pipeline; leave false to reproduce the paper.
+	// ExactRho runs the oracle instead of the production ρ path: no
+	// free-time engine and no lattice — every decision derives each queried
+	// core's sparse §IV-B chain from scratch and evaluates ρ as the direct
+	// double sum P(free + exec <= deadline)
+	// (robustness.Calculator.SetExactRho). An uncached reference, several
+	// times slower than production; it exists to bracket the lattice's
+	// quantization (EXPERIMENTS.md, golden_test.go), not to run sweeps.
 	ExactRho bool
-	// SparsePMF forces the §IV-B chains through the original sparse
-	// impulse pipeline (convolve + compact per stage). By default the
-	// engine runs on the fixed-grid lattice fast path, which convolves
-	// exactly on a shared grid (robustness.DefaultGridRes bins per mean
-	// execution time) instead of compacting — different rounding, same
-	// model; set SparsePMF to reproduce the paper pipeline bit-for-bit.
-	// ExactRho implies the sparse pipeline.
-	SparsePMF bool
 }
 
 // ParkPolicy configures the power-gating extension.
@@ -517,12 +511,12 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 			Window: len(trial.Tasks),
 		},
 	}
-	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.queues))
 	if cfg.ExactRho {
+		// The oracle is engine-free: ftc stays nil, so sched takes its
+		// per-decision sparse path and the nil engine's hooks are no-ops.
 		e.calc.SetExactRho(true)
-	}
-	if !cfg.SparsePMF && !cfg.ExactRho {
-		e.ftc.SetGrid(true)
+	} else {
+		e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.queues))
 	}
 	e.arena = sched.NewArena()
 	e.qbuf = make([][]robustness.QueuedTask, len(e.queues))

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -85,6 +86,50 @@ func TestRunDeterministic(t *testing.T) {
 	b := runOnce(t, m, mapperFor(sched.Random{}, sched.EnergyAndRobustness), m.DefaultEnergyBudget(), 3, nil)
 	if a.OnTime != b.OnTime || a.EnergyConsumed != b.EnergyConsumed || a.Makespan != b.Makespan {
 		t.Fatalf("runs diverged: %v vs %v", a, b)
+	}
+}
+
+// TestParallelRunsShareModelLattice: everything a run reads from the model
+// — the lattice table above all — is built once with it, so concurrent runs
+// on one fresh *workload.Model race on nothing, read the same entries (no
+// per-run rebuild) and reproduce the serial results. verify.sh tier 2 runs
+// this under -race.
+func TestParallelRunsShareModelLattice(t *testing.T) {
+	m := buildModel(t, 5, 80)
+	mapper := mapperFor(sched.LightestLoad{}, sched.EnergyAndRobustness)
+	entry := m.ExecLattice(0, 0, cluster.P0)
+	const runs = 8
+	parallel := make([]*Result, runs)
+	var wg sync.WaitGroup
+	for i := range parallel {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			seed := uint64(i + 1)
+			tr, err := workload.GenerateTrial(randx.NewStream(seed), m)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			cfg := Config{Model: m, Mapper: mapper, EnergyBudget: m.DefaultEnergyBudget()}
+			if parallel[i], err = Run(cfg, tr, randx.NewStream(seed).Child("decisions")); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if m.ExecLattice(0, 0, cluster.P0) != entry {
+		t.Fatal("a run replaced the model's lattice table")
+	}
+	for i, got := range parallel {
+		want := runOnce(t, m, mapper, m.DefaultEnergyBudget(), uint64(i+1), nil)
+		if got.OnTime != want.OnTime || got.Late != want.Late || got.Discarded != want.Discarded ||
+			got.EnergyConsumed != want.EnergyConsumed || got.Makespan != want.Makespan {
+			t.Errorf("run %d: parallel %v, serial %v", i, got, want)
+		}
 	}
 }
 

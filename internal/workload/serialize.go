@@ -107,7 +107,9 @@ func ReadModelJSON(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("workload: decode model: type %d mean %v must be positive and finite", ti, m)
 		}
 	}
-	if !(jm.TAvg > 0) || math.IsInf(jm.TAvg, 0) {
+	// The lattice step is tAvg/LatticeRes, so a denormal tAvg must not
+	// round it to zero.
+	if !(jm.TAvg/LatticeRes > 0) || math.IsInf(jm.TAvg, 0) {
 		return nil, fmt.Errorf("workload: decode model: tAvg %v must be positive and finite", jm.TAvg)
 	}
 	fast, slow := jm.Rates["fast"], jm.Rates["slow"]
@@ -125,5 +127,6 @@ func ReadModelJSON(r io.Reader) (*Model, error) {
 		classOf:  assignClasses(p.Classes, p.TaskTypes),
 	}
 	m.buildMeans()
+	m.buildLattice()
 	return m, nil
 }

@@ -151,6 +151,12 @@ type Model struct {
 	// precomputed because candidate enumeration reads the EET of every
 	// (type, core, P-state) combination on every mapping decision.
 	mean [][][]float64
+	// lattice[type][node][pstate] is table[type][node][pstate] snapped onto
+	// the model's shared lattice (step latticeStep = tAvg/LatticeRes): the
+	// read-only form the production ρ path convolves. Built once with the
+	// model, so every run on it shares one table.
+	lattice     [][][]LatticeExec
+	latticeStep float64
 	// typeMean[type] is the mean execution time of the type over all nodes
 	// and all P-states (the deadline offset of §VI).
 	typeMean []float64
@@ -223,6 +229,7 @@ func BuildModel(s *randx.Stream, c *cluster.Cluster, p Params) (*Model, error) {
 	}
 	m.tAvg = grand / float64(p.TaskTypes)
 	m.buildMeans()
+	m.buildLattice()
 	if p.CalibrateRates {
 		eq := m.EquilibriumRate()
 		m.fastRate = p.FastFactor * eq
@@ -281,6 +288,46 @@ func (m *Model) buildMeans() {
 	}
 }
 
+// LatticeRes divides t_avg to obtain the model's lattice step: t_avg/64
+// keeps per-impulse quantization under 0.8% of a typical execution time
+// while a depth-10 chain product stays a few thousand bins. EXPERIMENTS.md
+// ("grid-step sensitivity") measures the choice against /32 and /128.
+const LatticeRes = 64
+
+// LatticeExec is one execution PMF snapped onto the model's lattice, with
+// the derived scalars the mapping hot path reads per candidate.
+type LatticeExec struct {
+	Lat  pmf.Lattice
+	Mean float64
+	Min  float64
+}
+
+// ExecLattice returns the lattice form of ExecPMF(taskType, node, p). The
+// entry is shared and read-only.
+func (m *Model) ExecLattice(taskType, node int, p cluster.PState) *LatticeExec {
+	return &m.lattice[taskType][node][p]
+}
+
+// LatticeStep returns the step of the model's lattice, t_avg/LatticeRes.
+func (m *Model) LatticeStep() float64 { return m.latticeStep }
+
+// buildLattice fills the lattice table from the pmf table.
+func (m *Model) buildLattice() {
+	m.latticeStep = m.tAvg / LatticeRes
+	m.lattice = make([][][]LatticeExec, len(m.table))
+	for ti, byNode := range m.table {
+		m.lattice[ti] = make([][]LatticeExec, len(byNode))
+		for ni, row := range byNode {
+			lats := make([]LatticeExec, len(row))
+			for st, p := range row {
+				lat := pmf.ToLattice(p, m.latticeStep)
+				lats[st] = LatticeExec{Lat: lat, Mean: lat.Mean(), Min: lat.Min()}
+			}
+			m.lattice[ti][ni] = lats
+		}
+	}
+}
+
 // TypeMeanExec returns the average execution time of the task type over all
 // nodes and all P-states — the per-task deadline offset (§VI).
 func (m *Model) TypeMeanExec(taskType int) float64 { return m.typeMean[taskType] }
@@ -297,8 +344,9 @@ func (m *Model) TAvg() float64 { return m.tAvg }
 // slices partitioning the parent admits the same tasks under the same
 // deadlines as the parent itself. Node indices must be distinct, in-range,
 // and non-empty; they need not be contiguous. The slice shares the parent's
-// pmf rows (pmfs are immutable after build), and its Hash() differs from
-// the parent's because the serialized cluster and table differ.
+// pmf and lattice rows (both immutable after build; the step follows t_avg,
+// which the slice keeps), and its Hash() differs from the parent's because
+// the serialized cluster and table differ.
 func (m *Model) Slice(nodes []int) (*Model, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("workload: Slice: empty node set")
@@ -313,6 +361,9 @@ func (m *Model) Slice(nodes []int) (*Model, error) {
 		fastRate: m.fastRate,
 		slowRate: m.slowRate,
 		classOf:  m.classOf,
+
+		lattice:     make([][][]LatticeExec, len(m.table)),
+		latticeStep: m.latticeStep,
 	}
 	for j, ni := range nodes {
 		if ni < 0 || ni >= m.Cluster.N() {
@@ -326,10 +377,13 @@ func (m *Model) Slice(nodes []int) (*Model, error) {
 	}
 	for ti := range m.table {
 		row := make([][]pmf.PMF, len(nodes))
+		lats := make([][]LatticeExec, len(nodes))
 		for j, ni := range nodes {
 			row[j] = m.table[ti][ni]
+			lats[j] = m.lattice[ti][ni]
 		}
 		sub.table[ti] = row
+		sub.lattice[ti] = lats
 	}
 	sub.buildMeans()
 	return sub, nil

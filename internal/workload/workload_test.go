@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/pmf"
 	"repro/internal/randx"
 )
 
@@ -31,6 +33,47 @@ func buildTestModel(t *testing.T, seed uint64) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestLatticeTable: every model carries its execution PMFs snapped at
+// t_avg/LatticeRes, a slice shares its parent's rows instead of re-snapping
+// them, and a model loaded from JSON builds its table from the loaded pmfs.
+func TestLatticeTable(t *testing.T) {
+	m := buildTestModel(t, 17)
+	if m.LatticeStep() != m.TAvg()/LatticeRes {
+		t.Fatalf("lattice step %v, want t_avg/%d = %v", m.LatticeStep(), LatticeRes, m.TAvg()/LatticeRes)
+	}
+	nodes := []int{2, 0}
+	sub, err := m.Slice(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadModelJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < m.Params.TaskTypes; ti++ {
+		for _, ps := range cluster.AllPStates() {
+			for ni := 0; ni < m.Cluster.N(); ni++ {
+				for _, mod := range []*Model{m, loaded} {
+					got := mod.ExecLattice(ti, ni, ps)
+					want := pmf.ToLattice(mod.ExecPMF(ti, ni, ps), mod.LatticeStep())
+					if got.Mean != want.Mean() || got.Min != want.Min() || got.Lat.Len() != want.Len() {
+						t.Fatalf("(%d,%d,%v): table entry differs from ToLattice of the pmf", ti, ni, ps)
+					}
+				}
+			}
+			for j, ni := range nodes {
+				if sub.ExecLattice(ti, j, ps) != m.ExecLattice(ti, ni, ps) {
+					t.Fatalf("(%d,%d,%v): slice re-snapped its parent's row", ti, ni, ps)
+				}
+			}
+		}
+	}
 }
 
 func TestPaperParamsValues(t *testing.T) {
