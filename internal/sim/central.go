@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -18,9 +17,13 @@ import (
 // everything it learns between arrival and start: which cores actually
 // freed up, and how much energy remains.
 //
-// The mode reuses the engine's event loop: arrivals enter the pool, and a
-// dispatch step greedily matches idle cores with pool tasks whenever
-// either appears.
+// Both modes run the one engine loop (sim.go); central mode differs only in
+// where a task waits. An arrival, or a requeued task's retry, joins the
+// pool instead of going to the mapper, and dispatch greedily matches idle
+// cores with pooled tasks whenever either appears: after an arrival, a
+// completion, a repair or a retry. Per-core queues therefore hold at most
+// the running task, and a dispatched task goes through the same commit
+// step as an immediate-mode mapping.
 
 // PullPolicy decides, for an idle core, which pooled task to execute next
 // and at which P-state. Implementations see the same robustness calculator
@@ -30,8 +33,9 @@ type PullPolicy interface {
 	Name() string
 	// Select picks a task index from the pool (and a P-state) for the idle
 	// core, or -1 to leave the core idle. pool is never empty. The engine
-	// passes the node of the idle core, the current time, and the
-	// heuristic-side remaining-energy estimate ζ(t_l).
+	// passes the node of the idle core, the current time, the
+	// heuristic-side remaining-energy estimate ζ(t_l), and the number of
+	// trial tasks still to arrive.
 	Select(calc *robustness.Calculator, pool []workload.Task, node int, now, energyLeft float64, tasksLeft int) (int, cluster.PState)
 }
 
@@ -73,15 +77,6 @@ func (p EDFCheapest) Select(calc *robustness.Calculator, pool []workload.Task, n
 	return best, cluster.P0
 }
 
-// runCentral executes the central-queue variant of the simulation. It is
-// selected by Config.CentralQueue.
-type centralEngine struct {
-	*engine
-	policy PullPolicy
-	pool   []workload.Task
-	idle   map[int]bool
-}
-
 // validateCentral checks the central-queue configuration.
 func validateCentral(cfg Config) error {
 	if cfg.CentralQueue == nil {
@@ -96,65 +91,31 @@ func validateCentral(cfg Config) error {
 	return nil
 }
 
-func (e *centralEngine) loopCentral() error {
-	for e.events.Len() > 0 {
-		if err := e.checkCancelled(); err != nil {
-			return err
+// idleCore returns the lowest flat index of a core that is up and has an
+// empty queue, or -1 when every core is busy or down.
+func (e *engine) idleCore() int {
+	for idx, q := range e.queues {
+		if len(q) == 0 && !e.coreDown(idx) {
+			return idx
 		}
-		ev := popEvent(&e.events)
-		if ev.kind == evFault && !e.faultWorkRemains() {
-			continue // trailing fault; see engine.loop
-		}
-		e.depthIntegral += float64(e.inSystem+len(e.pool)) * (ev.time - e.lastT)
-		e.lastT = ev.time
-		at, exhausted := e.meter.Advance(ev.time)
-		e.sampleEnergy(at)
-		if exhausted {
-			e.res.EnergyExhausted = true
-			e.res.ExhaustedAt = at
-			e.res.Makespan = at
-			e.met.energyExhausted()
-			e.cfg.Observer.EnergyExhausted(at)
-			return nil
-		}
-		e.checkBrownout(at)
-		e.met.event(ev.kind, e.inSystem+len(e.pool))
-		switch ev.kind {
-		case evArrival:
-			e.arrived++
-			task := e.trial.Tasks[ev.idx]
-			e.pool = append(e.pool, task)
-			e.dispatch(ev.time)
-		case evCompletion:
-			if !e.staleCompletion(ev) {
-				e.completeCentral(ev.time, ev.idx)
-			}
-		case evPark:
-			e.park(ev.idx, ev.gen)
-		case evFault:
-			e.handleFault(ev.time, ev.idx)
-		case evRepair:
-			e.handleRepair(ev.time, ev.idx)
-		case evRequeue:
-			e.handleRequeue(ev.time, ev.idx)
-		}
-		e.res.Makespan = ev.time
 	}
-	return nil
+	return -1
 }
 
-// dispatch matches idle cores to pool tasks until one side runs dry.
-func (e *centralEngine) dispatch(now float64) {
-	for len(e.pool) > 0 && len(e.idle) > 0 {
-		// Deterministic idle-core order: lowest flat index first.
-		coreIdx := -1
-		for idx := range e.idle {
-			if coreIdx == -1 || idx < coreIdx {
-				coreIdx = idx
-			}
+// dispatch matches idle cores with pooled tasks until one side runs dry,
+// offering the lowest-indexed idle core first. It is a no-op in immediate
+// mode.
+func (e *engine) dispatch(now float64) {
+	if e.central == nil {
+		return
+	}
+	for len(e.pool) > 0 {
+		coreIdx := e.idleCore()
+		if coreIdx < 0 {
+			return
 		}
 		node := e.cores[coreIdx].Node
-		pick, ps := e.policy.Select(e.calc, e.pool, node, now, e.energyLeft, 0)
+		pick, ps := e.central.Select(e.calc, e.pool, node, now, e.energyLeft, len(e.trial.Tasks)-e.arrived)
 		if pick < 0 || pick >= len(e.pool) {
 			return // policy declines; core stays idle
 		}
@@ -167,53 +128,21 @@ func (e *centralEngine) dispatch(now float64) {
 		}
 		task := e.pool[pick]
 		e.pool = append(e.pool[:pick], e.pool[pick+1:]...)
-		delete(e.idle, coreIdx)
 
 		exec := e.cfg.Model.ExecPMF(task.Type, node, ps)
 		eec := exec.Mean() * e.cfg.Model.Cluster.Node(e.cores[coreIdx]).Power[ps] /
 			e.cfg.Model.Cluster.Node(e.cores[coreIdx]).Efficiency
-		e.energyLeft -= eec
-		e.res.Mapped++
-		e.met.taskMapped()
-		if e.dobs != nil {
-			// The core is idle at dispatch, so the predicted completion
-			// distribution is the execution pmf shifted to now — the same
-			// quantity EDFCheapest evaluates when choosing the P-state.
+		// The core is idle at dispatch, so the predicted completion
+		// distribution is the execution pmf shifted to now — the same
+		// quantity EDFCheapest evaluates when choosing the P-state.
+		e.commit(now, task, e.assignment(coreIdx, ps), eec, func() sched.Prediction {
 			comp := exec.Shift(now)
-			e.dobs.TaskDecision(now, task, e.assignment(coreIdx, ps), sched.Prediction{
+			return sched.Prediction{
 				Rho:  comp.ProbByDeadline(task.Deadline),
 				Mean: comp.Mean(),
 				P50:  comp.Quantile(0.5),
 				P99:  comp.Quantile(0.99),
-			}, eec)
-		}
-		actual := e.cfg.Model.ActualExecTime(task, node, ps)
-		// Central queues hold at most the running task, so no chain ever
-		// spans more than the head: start() below invalidates the free-time
-		// engine and no OnEnqueue extension is possible here.
-		e.queues[coreIdx] = append(e.queues[coreIdx], queued{task: task, pstate: ps, actual: actual})
-		e.inSystem++
-		if e.cfg.Trace {
-			tr := &e.res.Traces[task.ID]
-			tr.Mapped = true
-			tr.Assignment = e.assignment(coreIdx, ps)
-		}
-		e.cfg.Observer.TaskMapped(now, task, e.assignment(coreIdx, ps))
-		e.start(now, coreIdx)
+			}
+		})
 	}
-}
-
-func (e *centralEngine) completeCentral(now float64, coreIdx int) {
-	e.complete(now, coreIdx)
-	// complete() started the next per-core task if one existed; in central
-	// mode per-core queues hold at most the running task, so the core is
-	// idle now.
-	if len(e.queues[coreIdx]) == 0 {
-		e.idle[coreIdx] = true
-		e.dispatch(now)
-	}
-}
-
-func popEvent(h *eventHeap) event {
-	return heap.Pop(h).(event)
 }

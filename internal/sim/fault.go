@@ -86,8 +86,7 @@ func (e *engine) coreDown(coreIdx int) bool {
 // are dropped instead of processed, which is what lets the event loop drain
 // — the stochastic processes otherwise reschedule themselves forever.
 func (e *engine) faultWorkRemains() bool {
-	return e.arrived < len(e.trial.Tasks) || e.inSystem > 0 || e.pendingReq > 0 ||
-		(e.poolLen != nil && e.poolLen() > 0)
+	return e.arrived < len(e.trial.Tasks) || e.inSystem > 0 || e.pendingReq > 0 || len(e.pool) > 0
 }
 
 // decorateCtx attaches the fault/brownout state the scheduler needs: down
@@ -301,9 +300,6 @@ func (e *engine) downCore(now float64, kind fault.Kind, coreIdx int, repair floa
 		}
 	}
 	e.meter.SetPower(coreIdx, 0)
-	if e.onDown != nil {
-		e.onDown(coreIdx)
-	}
 	if kind == fault.Transient {
 		e.push(event{time: now + repair, kind: evRepair, idx: coreIdx})
 	}
@@ -334,9 +330,7 @@ func (e *engine) handleRepair(now float64, coreIdx int) {
 		e.idleGen[coreIdx]++
 		e.push(event{time: now + e.cfg.Park.Timeout, kind: evPark, idx: coreIdx, gen: e.idleGen[coreIdx]})
 	}
-	if e.onUp != nil {
-		e.onUp(now, coreIdx)
-	}
+	e.dispatch(now)
 }
 
 // recoverTask routes one stranded task through the recovery policy: either
@@ -386,55 +380,18 @@ func (e *engine) handleRequeue(now float64, taskID int) {
 	e.res.Retries++
 	e.met.taskRequeued()
 	task := e.trial.Tasks[taskID]
-	if e.redispatch != nil {
-		e.redispatch(now, task)
+	if e.central != nil {
+		e.pool = append(e.pool, task)
+		e.dispatch(now)
 		return
 	}
-	ctx := &sched.Context{
-		Now:           now,
-		Task:          task,
-		Model:         e.cfg.Model,
-		Calc:          e.calc,
-		EnergyLeft:    e.energyLeft,
-		TasksLeft:     len(e.trial.Tasks) - e.arrived,
-		AvgQueueDepth: float64(e.inSystem) / float64(len(e.cores)),
-		Rand:          e.rand,
-		Counters:      e.met.schedCounters(),
-	}
-	e.decorateCtx(ctx)
-	cands := sched.BuildCandidates(ctx, e)
-	var chosen *sched.Candidate
-	if len(cands) > 0 {
-		chosen = e.cfg.Mapper.Map(ctx, cands)
-	}
+	chosen := e.decide(now, task, len(e.trial.Tasks)-e.arrived)
 	if chosen == nil {
 		e.recoverTask(now, task)
 		return
 	}
 	// The retry charges the energy estimate again (the first attempt's
 	// joules are genuinely gone) and counts as a fresh mapping decision,
-	// matching the central engine where a requeued task re-enters the pool.
-	e.res.Mapped++
-	e.met.taskMapped()
-	e.energyLeft -= chosen.EEC
-	// Audit the retry decision before enqueueing, same as arrive(): the
-	// prediction is evaluated against the pre-enqueue queue snapshot.
-	if e.dobs != nil {
-		e.dobs.TaskDecision(now, task, chosen.Assignment, chosen.Predict(), chosen.EEC)
-	}
-	actual := e.cfg.Model.ActualExecTime(task, chosen.Core.Node, chosen.PState)
-	idx := chosen.CoreIdx
-	e.queues[idx] = append(e.queues[idx], queued{task: task, pstate: chosen.PState, actual: actual})
-	e.ftc.OnEnqueue(idx, chosen.Core.Node, task.Type, chosen.PState, len(e.queues[idx]))
-	e.inSystem++
-	if e.cfg.Trace {
-		tr := &e.res.Traces[taskID]
-		tr.Mapped = true
-		tr.Assignment = chosen.Assignment
-		tr.Outcome = OutcomeUnfinished // pending again until it completes
-	}
-	e.cfg.Observer.TaskMapped(now, task, chosen.Assignment)
-	if len(e.queues[idx]) == 1 {
-		e.start(now, idx)
-	}
+	// as a requeued task re-entering the central pool does.
+	e.commit(now, task, chosen.Assignment, chosen.EEC, chosen.Predict)
 }

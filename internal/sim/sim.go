@@ -362,13 +362,11 @@ type engine struct {
 	coreUpFn func(int) bool
 	availFn  func(int) float64
 
-	// Central-queue hooks, set only in central mode: the shared fault
-	// handlers call them so pool accounting and the idle-core set stay
-	// consistent with core up/down state.
-	onDown     func(coreIdx int)
-	onUp       func(now float64, coreIdx int)
-	redispatch func(now float64, task workload.Task)
-	poolLen    func() int
+	// Central-queue mode (Config.CentralQueue): arrivals and retries wait
+	// in pool until dispatch hands them to an idle core. central is nil in
+	// immediate mode, and pool then stays empty.
+	central PullPolicy
+	pool    []workload.Task
 
 	pendingReq int // requeue events in flight, for fault-loop termination
 
@@ -507,6 +505,7 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		cores:      cfg.Model.Cluster.Cores(),
 		queues:     make([][]queued, cfg.Model.Cluster.TotalCores()),
 		energyLeft: budget,
+		central:    cfg.CentralQueue,
 		res: &Result{
 			Window: len(trial.Tasks),
 		},
@@ -576,29 +575,6 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 	for i, t := range trial.Tasks {
 		e.push(event{time: t.Arrival, kind: evArrival, idx: i})
 	}
-	if cfg.CentralQueue != nil {
-		ce := &centralEngine{engine: e, policy: cfg.CentralQueue, idle: make(map[int]bool, len(e.queues))}
-		for i := range e.queues {
-			ce.idle[i] = true
-		}
-		if faultsOn {
-			e.onDown = func(coreIdx int) { delete(ce.idle, coreIdx) }
-			e.onUp = func(now float64, coreIdx int) {
-				ce.idle[coreIdx] = true
-				ce.dispatch(now)
-			}
-			e.redispatch = func(now float64, task workload.Task) {
-				ce.pool = append(ce.pool, task)
-				ce.dispatch(now)
-			}
-			e.poolLen = func() int { return len(ce.pool) }
-		}
-		if err := ce.loopCentral(); err != nil {
-			return nil, err
-		}
-		ce.finalize()
-		return ce.res, nil
-	}
 	if err := e.loop(); err != nil {
 		return nil, err
 	}
@@ -642,7 +618,8 @@ func (e *engine) loop() error {
 			// stochastic processes otherwise reschedule forever.
 			continue
 		}
-		e.depthIntegral += float64(e.inSystem) * (ev.time - e.lastT)
+		backlog := e.inSystem + len(e.pool)
+		e.depthIntegral += float64(backlog) * (ev.time - e.lastT)
 		e.lastT = ev.time
 		at, exhausted := e.meter.Advance(ev.time)
 		e.sampleEnergy(at)
@@ -655,14 +632,20 @@ func (e *engine) loop() error {
 			return nil
 		}
 		e.checkBrownout(at)
-		e.met.event(ev.kind, e.inSystem)
+		e.met.event(ev.kind, backlog)
 		switch ev.kind {
 		case evArrival:
 			e.arrived++
-			e.arrive(ev.time, ev.idx)
+			if e.central != nil {
+				e.pool = append(e.pool, e.trial.Tasks[ev.idx])
+				e.dispatch(ev.time)
+			} else {
+				e.arrive(ev.time, ev.idx)
+			}
 		case evCompletion:
 			if !e.staleCompletion(ev) {
 				e.complete(ev.time, ev.idx)
+				e.dispatch(ev.time)
 			}
 		case evPark:
 			e.park(ev.idx, ev.gen)
@@ -692,28 +675,10 @@ func (e *engine) sampleEnergy(t float64) {
 	}
 }
 
-// arrive maps one task in immediate mode.
+// arrive maps one arriving task in immediate mode.
 func (e *engine) arrive(now float64, taskIdx int) {
 	task := e.trial.Tasks[taskIdx]
-	ctx := &sched.Context{
-		Now:           now,
-		Task:          task,
-		Model:         e.cfg.Model,
-		Calc:          e.calc,
-		EnergyLeft:    e.energyLeft,
-		TasksLeft:     len(e.trial.Tasks) - taskIdx - 1,
-		AvgQueueDepth: float64(e.inSystem) / float64(len(e.cores)),
-		Rand:          e.rand,
-		Counters:      e.met.schedCounters(),
-	}
-	e.decorateCtx(ctx)
-	cands := sched.BuildCandidates(ctx, e)
-	// With every core down the candidate set is empty; Mapper.Map expects a
-	// non-empty set when it reaches the heuristic, so discard directly.
-	var chosen *sched.Candidate
-	if len(cands) > 0 {
-		chosen = e.cfg.Mapper.Map(ctx, cands)
-	}
+	chosen := e.decide(now, task, len(e.trial.Tasks)-taskIdx-1)
 	if chosen == nil {
 		e.res.Discarded++
 		e.met.taskDiscarded()
@@ -723,27 +688,58 @@ func (e *engine) arrive(now float64, taskIdx int) {
 		e.cfg.Observer.TaskDiscarded(now, task)
 		return
 	}
+	e.commit(now, task, chosen.Assignment, chosen.EEC, chosen.Predict)
+}
+
+// decide runs the immediate-mode mapper for one task — candidate
+// enumeration, the filter chain, the heuristic — and returns its choice,
+// or nil when no assignment survives.
+func (e *engine) decide(now float64, task workload.Task, tasksLeft int) *sched.Candidate {
+	ctx := &sched.Context{
+		Now:           now,
+		Task:          task,
+		Model:         e.cfg.Model,
+		Calc:          e.calc,
+		EnergyLeft:    e.energyLeft,
+		TasksLeft:     tasksLeft,
+		AvgQueueDepth: float64(e.inSystem) / float64(len(e.cores)),
+		Rand:          e.rand,
+		Counters:      e.met.schedCounters(),
+	}
+	e.decorateCtx(ctx)
+	cands := sched.BuildCandidates(ctx, e)
+	// With every core down the candidate set is empty; Mapper.Map expects a
+	// non-empty set when it reaches the heuristic.
+	if len(cands) == 0 {
+		return nil
+	}
+	return e.cfg.Mapper.Map(ctx, cands)
+}
+
+// commit carries out one mapping decision, whichever mode made it: it
+// charges the expected energy eec to ζ(t_l), audits the decision, enqueues
+// the task on its core, records and announces the mapping, and starts the
+// core if it was idle. pred is evaluated only for a DecisionObserver, and
+// before the enqueue: an immediate-mode prediction convolves against the
+// queue snapshot BuildCandidates captured, which the enqueue would mutate.
+func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec float64, pred func() sched.Prediction) {
 	e.res.Mapped++
 	e.met.taskMapped()
-	e.energyLeft -= chosen.EEC
-	// Predict() convolves against the queue snapshot captured by
-	// BuildCandidates, so the decision must be audited before the chosen
-	// task is enqueued (which mutates the free-time chain).
+	e.energyLeft -= eec
 	if e.dobs != nil {
-		e.dobs.TaskDecision(now, task, chosen.Assignment, chosen.Predict(), chosen.EEC)
+		e.dobs.TaskDecision(now, task, a, pred(), eec)
 	}
-	actual := e.cfg.Model.ActualExecTime(task, chosen.Core.Node, chosen.PState)
-	q := queued{task: task, pstate: chosen.PState, actual: actual}
-	idx := chosen.CoreIdx
-	e.queues[idx] = append(e.queues[idx], q)
-	e.ftc.OnEnqueue(idx, chosen.Core.Node, task.Type, chosen.PState, len(e.queues[idx]))
+	actual := e.cfg.Model.ActualExecTime(task, a.Core.Node, a.PState)
+	idx := a.CoreIdx
+	e.queues[idx] = append(e.queues[idx], queued{task: task, pstate: a.PState, actual: actual})
+	e.ftc.OnEnqueue(idx, a.Core.Node, task.Type, a.PState, len(e.queues[idx]))
 	e.inSystem++
 	if e.cfg.Trace {
-		tr := &e.res.Traces[taskIdx]
+		tr := &e.res.Traces[task.ID]
 		tr.Mapped = true
-		tr.Assignment = chosen.Assignment
+		tr.Assignment = a
 	}
-	e.cfg.Observer.TaskMapped(now, task, chosen.Assignment)
+	e.cfg.Observer.TaskMapped(now, task, a)
 	if len(e.queues[idx]) == 1 {
 		e.start(now, idx)
 	}

@@ -50,6 +50,19 @@ go test -race -run 'FreeTimeEngine|ExactRho' ./internal/robustness
 # The tracked size number (ROADMAP aim 2): non-test Go lines outside
 # benchmark/. A PR that grows it should be able to say what for.
 echo "== tier 1: non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -exec cat {} + | wc -l)"
+# The two numbers that track the road to one cluster executor (ROADMAP
+# item 4): non-test files importing container/heap, and the cluster
+# mechanics methods defined in both internal/sim and internal/server.
+heapfiles="$(grep -rl --include='*.go' --exclude='*_test.go' '"container/heap"' . | wc -l)"
+echo "== tier 1: non-test files importing container/heap: $heapfiles"
+dup=0
+for m in start complete setPState handleFault handleRepair downCore recoverTask handleRequeue pickUpCore pickAliveNode; do
+    if grep -rq --include='*.go' --exclude='*_test.go' "^func ([^)]*) $m(" internal/sim &&
+        grep -rq --include='*.go' --exclude='*_test.go' "^func ([^)]*) $m(" internal/server; then
+        dup=$((dup + 1))
+    fi
+done
+echo "== tier 1: mechanics methods defined in both internal/sim and internal/server: $dup"
 # Static analysis and vulnerability scanning run when the tools are on
 # PATH; the container image doesn't ship them and nothing may be
 # installed here, so absence is a skip, not a failure.
