@@ -200,6 +200,32 @@ func (l Lattice) TruncateAt(cut int) (Lattice, float64) {
 	return Lattice{origin: l.origin, step: l.step, idx: l.idx[cut:], prob: prob, cum: prefixSums(prob)}, mass
 }
 
+// TruncatedMean returns the mean and kept mass of TruncateAt(cut) without
+// building the truncated lattice: bit-identical to TruncateAt(cut) followed
+// by Mean, and allocation-free. A cut that keeps no mass returns NaN (the
+// zero Lattice's mean) and kept == 0.
+func (l Lattice) TruncatedMean(cut int) (mean, kept float64) {
+	if cut <= 0 {
+		return l.Mean(), 1
+	}
+	if cut >= len(l.idx) {
+		return math.NaN(), 0
+	}
+	for _, p := range l.prob[cut:] {
+		kept += p
+	}
+	if kept <= 0 {
+		return math.NaN(), 0
+	}
+	inv := 1 / kept
+	for k := cut; k < len(l.idx); k++ {
+		// The explicit conversion rounds the renormalized mass exactly as
+		// TruncateAt's stored copy is rounded.
+		mean += float64(l.prob[k]*inv) * l.Value(k)
+	}
+	return mean, kept
+}
+
 // PMF materializes the lattice as a sparse PMF with values origin + idx·step.
 func (l Lattice) PMF() PMF {
 	if l.IsZero() {

@@ -225,6 +225,52 @@ func TestLatticeTruncateMatchesPMF(t *testing.T) {
 	}
 }
 
+// TestTruncatedMeanMatchesTruncateAt pins the mean-only head stage against
+// the materialized one: for every cut of random lattices — including cuts
+// at or below zero, at or past Len(), and remainders with no mass — the
+// mean and kept mass equal TruncateAt(cut) followed by Mean, bit for bit,
+// and the call allocates nothing.
+func TestTruncatedMeanMatchesTruncateAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	check := func(trial int, l Lattice) {
+		for cut := -2; cut <= l.Len()+1; cut++ {
+			trunc, wantKept := l.TruncateAt(cut)
+			wantMean := trunc.Mean()
+			mean, kept := l.TruncatedMean(cut)
+			if math.Float64bits(kept) != math.Float64bits(wantKept) {
+				t.Fatalf("trial %d cut %d: kept %v, want %v", trial, cut, kept, wantKept)
+			}
+			if math.Float64bits(mean) != math.Float64bits(wantMean) {
+				t.Fatalf("trial %d cut %d: mean %v, want %v", trial, cut, mean, wantMean)
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		l := ToLattice(randPMF(rng, 1+rng.Intn(20), 50), 0.25+rng.Float64()).Shift(1000 * rng.Float64())
+		check(trial, l)
+		// Zero out a random suffix so some cuts keep no mass at all.
+		z := rng.Intn(l.Len() + 1)
+		prob := append([]float64(nil), l.prob...)
+		for k := z; k < len(prob); k++ {
+			prob[k] = 0
+		}
+		check(trial, Lattice{origin: l.origin, step: l.step, idx: l.idx, prob: prob, cum: prefixSums(prob)})
+	}
+	check(-1, Lattice{})
+
+	l := ToLattice(randPMF(rng, 16, 50), 0.5)
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		for cut := 0; cut <= l.Len(); cut++ {
+			m, _ := l.TruncatedMean(cut)
+			sink += m
+		}
+	}); n != 0 {
+		t.Fatalf("TruncatedMean allocates %v times per pass", n)
+	}
+	_ = sink
+}
+
 // TestPointLatticeAllocFree pins the degenerate-head fast path: minting a
 // point lattice must not allocate (the grid ρ path mints one per
 // empty-queue candidate).

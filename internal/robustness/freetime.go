@@ -57,16 +57,22 @@ type coreChain struct {
 
 	// baseL is the running head's execution lattice shifted by its start —
 	// the now-independent part of the head stage, derived once per version;
-	// headL is baseL truncated at headLCut and renormalized, with its mean.
+	// headL is baseL truncated at headLCut and renormalized, built only on
+	// the ρ path. headMean is the mean of baseL truncated at headMeanCut,
+	// which FreeMean reads without building the truncated lattice.
 	baseL    pmf.Lattice
 	baseLVer uint64
 	baseLOK  bool
 
-	headL     pmf.Lattice
-	headLMean float64
-	headLCut  int
-	headLVer  uint64
-	headLOK   bool
+	headL    pmf.Lattice
+	headLCut int
+	headLVer uint64
+	headLOK  bool
+
+	headMean    float64
+	headMeanCut int
+	headMeanVer uint64
+	headMeanOK  bool
 
 	// tail is the dense product of the waiting tasks' execution lattices —
 	// the now-independent part of the chain that lattice associativity
@@ -111,12 +117,6 @@ type coreChain struct {
 	chainLen int
 	chainVer uint64
 	chainOK  bool
-
-	// seenQ/seenNow record the queue state most recently passed to FreeMean
-	// or FreeTime, letting RhoSeen re-derive it instead of every candidate
-	// carrying its own copy through the mapping hot path.
-	seenQ   CoreQueue
-	seenNow float64
 }
 
 // NewFreeTimeEngine returns an engine for numCores cores evaluating
@@ -185,16 +185,14 @@ func (e *FreeTimeEngine) OnEnqueue(coreIdx, node, taskType int, ps cluster.PStat
 }
 
 // FreeMean returns E[free time] by linearity, bit-identical to
-// Calculator.GridFreeMean: the (truncated) head lattice mean — cached while
-// the running head's cut is stable — plus the lattice means of the waiting
-// tasks.
+// Calculator.GridFreeMean: the (truncated) head lattice mean — cached per
+// (version, cut), and computed without building the truncated lattice —
+// plus the lattice means of the waiting tasks. It allocates nothing.
 func (e *FreeTimeEngine) FreeMean(coreIdx int, q CoreQueue, now float64) float64 {
-	c := &e.cores[coreIdx]
-	c.seenQ, c.seenNow = q, now
 	if len(q.Tasks) == 0 {
 		return now
 	}
-	_, mean, _ := e.latticeHead(c, q, now)
+	mean := e.headMeanAt(&e.cores[coreIdx], q, now)
 	for _, t := range q.Tasks[1:] {
 		mean += e.calc.model.ExecLattice(t.Type, q.Node, t.PState).Mean
 	}
@@ -207,12 +205,11 @@ func (e *FreeTimeEngine) FreeMean(coreIdx int, q CoreQueue, now float64) float64
 // cache hit and costs zero convolutions.
 func (e *FreeTimeEngine) FreeTime(coreIdx int, q CoreQueue, now float64) pmf.PMF {
 	c := &e.cores[coreIdx]
-	c.seenQ, c.seenNow = q, now
 	if len(q.Tasks) == 0 {
 		return pmf.Point(now)
 	}
 	e.calc.freeTimeEvals.Inc()
-	headL, _, cut := e.latticeHead(c, q, now)
+	headL, cut := e.latticeHead(c, q, now)
 	if c.chainOK && c.chainVer == c.ver && c.chainLen == len(q.Tasks) && cut >= 0 && c.chainCut == cut {
 		e.hits.Inc()
 		return c.chain
@@ -262,7 +259,7 @@ func (e *FreeTimeEngine) ProbOnTime(coreIdx int, q CoreQueue, now float64, taskT
 			c.rhoCut = -1
 			c.rhoFreeMin = now
 		} else {
-			c.rhoHead, _, c.rhoCut = e.latticeHead(c, q, now)
+			c.rhoHead, c.rhoCut = e.latticeHead(c, q, now)
 			freeMin := c.rhoHead.Min()
 			for _, t := range q.Tasks[1:] {
 				freeMin += e.calc.model.ExecLattice(t.Type, q.Node, t.PState).Min
@@ -297,17 +294,6 @@ func (e *FreeTimeEngine) ProbOnTime(coreIdx int, q CoreQueue, now float64, taskT
 	return pmf.TripleConvCDF(&c.rhoHead, tail, &exec.Lat, deadline)
 }
 
-// RhoSeen is ProbOnTime evaluated against the queue state most recently
-// passed to FreeMean or FreeTime for this core. BuildCandidates derives
-// every core's free-time mean before any candidate's ρ is demanded, and
-// queues never mutate mid-decision, so the recorded state is exactly the
-// decision's state — without each candidate carrying a queue copy through
-// the mapping hot path.
-func (e *FreeTimeEngine) RhoSeen(coreIdx, taskType int, ps cluster.PState, deadline float64) float64 {
-	c := &e.cores[coreIdx]
-	return e.ProbOnTime(coreIdx, c.seenQ, c.seenNow, taskType, ps, deadline, nil)
-}
-
 // hwFor returns the core's dense tail ⊛ headL product for a cacheable head
 // (cut ≥ 0), plus whether it came straight from the cache and — when it
 // did not — whether the underlying tail had to be folded fresh. The
@@ -324,40 +310,61 @@ func (e *FreeTimeEngine) hwFor(c *coreChain, q CoreQueue, headL *pmf.Lattice, cu
 }
 
 // latticeHead derives (and caches) the head stage in lattice form —
-// bit-identical to Calculator.gridHead plus the head's mean. The shifted
-// base lattice is cached per version and its truncation per cut;
-// uncacheable heads (unstarted: pure shift by now; fully overdue:
-// degenerate point at now) are returned with cut == -1 and never stored.
-func (e *FreeTimeEngine) latticeHead(c *coreChain, q CoreQueue, now float64) (pmf.Lattice, float64, int) {
+// bit-identical to Calculator.gridHead. The shifted base lattice is cached
+// per version and its truncation per cut; uncacheable heads (unstarted:
+// pure shift by now; fully overdue: degenerate point at now) are returned
+// with cut == -1 and never stored.
+func (e *FreeTimeEngine) latticeHead(c *coreChain, q CoreQueue, now float64) (pmf.Lattice, int) {
 	t0 := q.Tasks[0]
-	exec := e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState)
 	if !t0.Started {
-		lat := exec.Lat.Shift(now)
-		return lat, lat.Mean(), -1
+		return e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState).Lat.Shift(now), -1
 	}
-	if !c.baseLOK || c.baseLVer != c.ver {
-		c.baseL = exec.Lat.Shift(t0.StartAt)
-		c.baseLVer = c.ver
-		c.baseLOK = true
-		c.headLOK = false
-	}
-	cut := c.baseL.SearchValue(now)
+	base := e.baseLattice(c, q)
+	cut := base.SearchValue(now)
 	if c.headLOK && c.headLVer == c.ver && c.headLCut == cut {
-		return c.headL, c.headLMean, cut
+		return c.headL, cut
 	}
-	trunc, kept := c.baseL.TruncateAt(cut)
+	trunc, kept := base.TruncateAt(cut)
 	if kept <= 0 {
 		// All remaining mass is overdue: the same degenerate point the
 		// naive pipeline produces. Depends on raw now, so never cached.
-		lat := pmf.PointLattice(now, e.calc.model.LatticeStep())
-		return lat, now, -1
+		return pmf.PointLattice(now, e.calc.model.LatticeStep()), -1
 	}
-	c.headL = trunc
-	c.headLMean = trunc.Mean()
-	c.headLCut = cut
-	c.headLVer = c.ver
-	c.headLOK = true
-	return c.headL, c.headLMean, cut
+	c.headL, c.headLCut, c.headLVer, c.headLOK = trunc, cut, c.ver, true
+	return c.headL, cut
+}
+
+// headMeanAt is the mean of the head stage latticeHead derives, without
+// materializing a truncated lattice: pmf.Lattice.TruncatedMean is
+// bit-identical to TruncateAt followed by Mean. A started head's mean is
+// cached per (version, cut); the uncacheable heads are derived per query.
+func (e *FreeTimeEngine) headMeanAt(c *coreChain, q CoreQueue, now float64) float64 {
+	t0 := q.Tasks[0]
+	if !t0.Started {
+		return e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState).Lat.Shift(now).Mean()
+	}
+	base := e.baseLattice(c, q)
+	cut := base.SearchValue(now)
+	if c.headMeanOK && c.headMeanVer == c.ver && c.headMeanCut == cut {
+		return c.headMean
+	}
+	mean, kept := base.TruncatedMean(cut)
+	if kept <= 0 {
+		return now // the degenerate point at now
+	}
+	c.headMean, c.headMeanCut, c.headMeanVer, c.headMeanOK = mean, cut, c.ver, true
+	return mean
+}
+
+// baseLattice returns the started head's execution lattice shifted by its
+// start, derived once per version.
+func (e *FreeTimeEngine) baseLattice(c *coreChain, q CoreQueue) *pmf.Lattice {
+	if !c.baseLOK || c.baseLVer != c.ver {
+		t0 := q.Tasks[0]
+		c.baseL = e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState).Lat.Shift(t0.StartAt)
+		c.baseLVer, c.baseLOK = c.ver, true
+	}
+	return &c.baseL
 }
 
 // tailFor returns the core's waiting-tail product and whether it had to be

@@ -3,6 +3,7 @@ package sched
 import (
 	"repro/internal/pmf"
 	"repro/internal/robustness"
+	"repro/internal/workload"
 )
 
 // Arena is a caller-owned per-decision scratch that makes candidate
@@ -19,6 +20,7 @@ type Arena struct {
 	cands  []Candidate
 	ptrs   []*Candidate
 	shares []coreShare
+	dec    decision
 }
 
 // NewArena returns an empty arena; the first decision grows it to the
@@ -43,31 +45,75 @@ func (a *Arena) grow(maxCands, nCores int) {
 	a.shares = a.shares[:nCores]
 }
 
-// coreShare is the per-core slice of one decision's free-time memo: the
-// queue snapshot plus a lazily materialized sparse free-time distribution
-// shared by all of the core's P-state candidates. Predict reads it, and so
-// does every ρ on the engine-less reference path.
-type coreShare struct {
-	ft       *robustness.FreeTimeEngine
+// decision is what every candidate of one mapping decision shares: the
+// task being mapped, the decision instant, and the evaluators behind the
+// lazily derived quantities.
+type decision struct {
+	model    *workload.Model
 	calc     *robustness.Calculator
+	ft       *robustness.FreeTimeEngine
 	counters *Counters
-	idx      int
-	q        robustness.CoreQueue
 	now      float64
-	head     pmf.PMF // precomputed head stage for the engine-less fallback
-	cached   pmf.PMF
+	deadline float64
+	taskType int
+}
+
+// coreShare is the per-core slice of one decision: the queue snapshot plus
+// the free-time mean and the sparse free-time distribution, each derived
+// on first use and shared by all of the core's P-state candidates. ECT
+// reads the mean; Predict reads the distribution, and so does every ρ on
+// the engine-less reference path.
+type coreShare struct {
+	dec    *decision
+	idx    int
+	q      robustness.CoreQueue
+	mean   float64
+	meanOK bool
+	head   pmf.PMF // the engine-less path's head stage, kept for FreePMF
+	cached pmf.PMF
+}
+
+// reset points the share at a new decision's snapshot of core idx. It
+// assigns field by field: a struct literal would copy the whole share,
+// two PMFs included, once per core per decision.
+func (s *coreShare) reset(dec *decision, idx int, q robustness.CoreQueue) {
+	s.dec = dec
+	s.idx = idx
+	s.q = q
+	s.meanOK = false
+	s.head = pmf.PMF{}
+	s.cached = pmf.PMF{}
+}
+
+// freeMean derives (once) and returns the core's expected free time: from
+// the engine's cached head mean on the production path, or by linearity
+// over the one-shot head PMF on the engine-less reference path.
+func (s *coreShare) freeMean() float64 {
+	if !s.meanOK {
+		d := s.dec
+		if d.ft != nil {
+			s.mean = d.ft.FreeMean(s.idx, s.q, d.now)
+		} else {
+			s.head = d.calc.HeadPMF(s.q, d.now)
+			s.mean = freeMeanByLinearity(d.model, s.q, s.head, d.now)
+		}
+		s.meanOK = true
+	}
+	return s.mean
 }
 
 // FreePMF materializes (once) and returns the core's free-time
-// distribution for this decision.
+// distribution for this decision. On the engine-less path a head stage
+// already derived by freeMean is reused; otherwise FreeTimeFrom derives it.
 func (s *coreShare) FreePMF() pmf.PMF {
 	hit := !s.cached.IsZero()
-	s.counters.freeTime(hit)
+	d := s.dec
+	d.counters.freeTime(hit)
 	if !hit {
-		if s.ft != nil {
-			s.cached = s.ft.FreeTime(s.idx, s.q, s.now)
+		if d.ft != nil {
+			s.cached = d.ft.FreeTime(s.idx, s.q, d.now)
 		} else {
-			s.cached = s.calc.FreeTimeFrom(s.head, s.q, s.now)
+			s.cached = d.calc.FreeTimeFrom(s.head, s.q, d.now)
 		}
 	}
 	return s.cached

@@ -95,3 +95,51 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state decision allocates %v times, want 0", n)
 	}
 }
+
+// TestArenaAllocsAsCutMoves: TestArenaSteadyStateAllocs holds now fixed, so
+// a started head's truncation cut never moves and the engine serves the
+// head from cache. Here now advances one lattice step per decision past a
+// started head, so its cut moves, and a steady-state MECT+en decision —
+// which reads every core's free-time mean — must still allocate nothing.
+func TestArenaAllocsAsCutMoves(t *testing.T) {
+	f := newFixture(t, 13)
+	head := robustness.QueuedTask{Type: 1, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 80}
+	f.view.push(0, head)
+	f.view.push(0, robustness.QueuedTask{Type: 3, PState: cluster.P1, Deadline: 1e9})
+	f.view.push(1, robustness.QueuedTask{Type: 2, PState: cluster.P2, Deadline: 1e9, Started: true, StartAt: 60})
+	lat := f.model.ExecLattice(head.Type, f.view.queues[0].Node, head.PState).Lat.Shift(head.StartAt)
+	if lat.Len() < 3 {
+		t.Fatalf("head lattice has %d impulses; the cut cannot move", lat.Len())
+	}
+
+	ctx := f.ctx()
+	ctx.FreeTimes = robustness.NewFreeTimeEngine(f.calc, f.view.NumCores())
+	ctx.Arena = NewArena()
+	m := &Mapper{Heuristic: MinExpectedCompletionTime{}, Filters: EnergyOnly.Filters()}
+
+	// Sweep now across the head's support, from past its first impulse to
+	// before its last, so the cut is always > 0 and some mass survives.
+	step := f.model.LatticeStep()
+	lo, hi := lat.Min()+step, lat.Value(lat.Len()-1)
+	now, cut, moves := lo, -1, 0
+	decide := func() {
+		if now += step; now >= hi {
+			now = lo
+		}
+		if k := lat.SearchValue(now); k != cut {
+			cut = k
+			moves++
+		}
+		ctx.Now = now
+		if c := m.Map(ctx, BuildCandidates(ctx, f.view)); c == nil {
+			t.Fatal("decision filtered out every candidate")
+		}
+	}
+	decide() // warm: grows the arena
+	if n := testing.AllocsPerRun(50, decide); n > 0 {
+		t.Fatalf("decision with a moving cut allocates %v times, want 0", n)
+	}
+	if moves < 10 {
+		t.Fatalf("the head's cut moved %d times over 51 decisions; the test does not exercise it", moves)
+	}
+}

@@ -67,7 +67,18 @@ func (f EnergyFilter) Threshold(ctx *Context) float64 {
 
 // Keep retains candidates with EEC at or below the fair share.
 func (f EnergyFilter) Keep(ctx *Context, c *Candidate) bool {
-	return c.EEC <= f.Threshold(ctx)
+	return c.EEC <= f.eecBound(ctx)
+}
+
+// eecBound is the energy filter's bound for the decision: ζ_fair(t_l).
+func (f EnergyFilter) eecBound(ctx *Context) float64 { return f.Threshold(ctx) }
+
+// eecFilter is a filter whose rule is EEC ≤ a bound that is fixed for the
+// whole decision. Keep applies the bound to one candidate; Mapper.Map
+// reads it once per decision and compares every candidate against it.
+type eecFilter interface {
+	Filter
+	eecBound(ctx *Context) float64
 }
 
 // PaperRhoThresh is ρ_thresh = 0.5, the probability threshold §V-F found to
@@ -146,8 +157,16 @@ func (EECCapFilter) Name() string { return "cap" }
 func (EECCapFilter) NeedsRho() bool { return false }
 
 // Keep retains candidates with EEC at or below the cap.
-func (f EECCapFilter) Keep(_ *Context, c *Candidate) bool {
-	return f.Cap <= 0 || c.EEC <= f.Cap
+func (f EECCapFilter) Keep(ctx *Context, c *Candidate) bool {
+	return c.EEC <= f.eecBound(ctx)
+}
+
+// eecBound is the cap, or +Inf when the filter is disabled.
+func (f EECCapFilter) eecBound(*Context) float64 {
+	if f.Cap <= 0 {
+		return math.Inf(1)
+	}
+	return f.Cap
 }
 
 // FilterVariant names one of the four filtering configurations evaluated in

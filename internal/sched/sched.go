@@ -33,8 +33,9 @@ func (a Assignment) String() string { return fmt.Sprintf("%v@%v", a.Core, a.PSta
 
 // Candidate is one feasible assignment for the task being mapped, together
 // with the quantities heuristics and filters consume. QueueLen, EET, and
-// EEC are computed eagerly (they are cheap); the robustness value ρ is
-// computed lazily on first use because it requires a pmf convolution.
+// EEC are filled in by BuildCandidates; the expected free time behind ECT
+// and the robustness value ρ are computed on first use, once per core and
+// once per candidate respectively, so a policy pays only for what it reads.
 type Candidate struct {
 	Assignment
 	// QueueLen is |MQ(i,j,k,t_l)|: tasks currently assigned to the core.
@@ -44,40 +45,35 @@ type Candidate struct {
 	// EEC is the expected energy consumption (§V-A): EET·μ(i,π)/ε(i).
 	EEC float64
 
-	freeMean float64
-	share    *coreShare
-	deadline float64
-	taskType int
-	calc     *robustness.Calculator
-	counters *Counters
-	// ft, when non-nil, evaluates ρ through the cross-decision engine's
-	// cached lattice chains (against the engine's per-core recorded queue
-	// state) instead of convolving free ⊛ exec per candidate.
-	ft *robustness.FreeTimeEngine
-
+	// share is the core's slice of the decision: its queue snapshot and
+	// the lazily derived free-time mean and distribution, shared by all
+	// of the core's P-state candidates.
+	share *coreShare
 	// rho memoizes Rho(); -1 (set by BuildCandidates) means not yet
-	// computed. The sentinel instead of a bool keeps Candidate at 128
-	// bytes — one allocation size class below the padded-bool layout,
-	// which is measurable across 300 candidates per decision.
+	// computed. The sentinel instead of a bool keeps Candidate at 80
+	// bytes, exactly a size class; a padded bool would round it up to 96.
 	rho float64
 }
 
 // ECT returns the expected completion time (§V-A). By linearity of
 // expectation it is the core's expected free time plus EET, with no
-// convolution needed.
-func (c *Candidate) ECT() float64 { return c.freeMean + c.EET }
+// convolution needed; the free-time mean is derived on the first call for
+// any of the core's candidates.
+func (c *Candidate) ECT() float64 { return c.share.freeMean() + c.EET }
 
 // Rho returns ρ(i,j,k,π,t_l,z): the probability of the task completing by
-// its deadline under this assignment. The underlying completion-time
-// convolution is performed once and cached.
+// its deadline under this assignment, evaluated against the core's queue
+// snapshot taken at BuildCandidates time. It is computed once and cached.
 func (c *Candidate) Rho() float64 {
 	if c.rho < 0 {
-		if c.ft != nil {
-			c.rho = c.ft.RhoSeen(c.CoreIdx, c.taskType, c.PState, c.deadline)
+		s := c.share
+		d := s.dec
+		if d.ft != nil {
+			c.rho = d.ft.ProbOnTime(c.CoreIdx, s.q, d.now, d.taskType, c.PState, d.deadline, nil)
 		} else {
-			c.rho = c.calc.ProbOnTime(c.share.FreePMF(), c.taskType, c.Core.Node, c.PState, c.deadline)
+			c.rho = d.calc.ProbOnTime(s.FreePMF(), d.taskType, c.Core.Node, c.PState, d.deadline)
 		}
-		c.counters.addRho()
+		d.counters.addRho()
 	}
 	return c.rho
 }
@@ -99,7 +95,8 @@ type Prediction struct {
 // convolves against the queue snapshot captured at BuildCandidates time, so
 // it must be called before the chosen task is enqueued.
 func (c *Candidate) Predict() Prediction {
-	comp := c.calc.CompletionPMF(c.share.FreePMF(), c.taskType, c.Core.Node, c.PState)
+	d := c.share.dec
+	comp := d.calc.CompletionPMF(c.share.FreePMF(), d.taskType, c.Core.Node, c.PState)
 	return Prediction{
 		Rho:  c.Rho(),
 		Mean: comp.Mean(),
@@ -185,72 +182,74 @@ type SystemView interface {
 }
 
 // BuildCandidates enumerates every (core, P-state) assignment for the
-// context's task, precomputing queue lengths, EET, EEC, and the expected
-// free time of each core. Per-core free-time distributions are shared and
-// materialized lazily for candidates that need ρ.
+// context's task and fills in each candidate's queue length, EET, and EEC.
+// EET and EEC depend on the task type, the node, and the P-state but not
+// on the core, so they are computed once per (node, P-state) and shared by
+// the node's cores. Everything else a policy may read — the expected free
+// time behind ECT, the free-time distribution, ρ — is derived on first use
+// from the core's queue snapshot, which the candidates of one core share.
 func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 	n := view.NumCores()
 	arena := ctx.Arena
 	var cands []*Candidate
+	var dec *decision
 	if arena != nil {
 		arena.grow(n*cluster.NumPStates, n)
 		cands = arena.ptrs[:0]
+		dec = &arena.dec
 	} else {
 		cands = make([]*Candidate, 0, n*cluster.NumPStates)
+		dec = new(decision)
 	}
+	*dec = decision{model: ctx.Model, calc: ctx.Calc, ft: ctx.FreeTimes, counters: ctx.Counters,
+		now: ctx.Now, deadline: ctx.Task.Deadline, taskType: ctx.Task.Type}
 	ctx.Counters.addDecision()
+	floor := max(ctx.PStateFloor, cluster.P0)
+	// row holds the current node's EET and EEC per P-state. It is refilled
+	// whenever the node changes, which with the cluster's node-major core
+	// order is once per node.
+	var row [cluster.NumPStates]struct{ eet, eec float64 }
+	rowNode := -1
 	for idx := 0; idx < n; idx++ {
 		if ctx.CoreUp != nil && !ctx.CoreUp(idx) {
 			continue
 		}
 		id := view.CoreID(idx)
-		q := view.Queue(idx)
-		node := ctx.Model.Cluster.Node(id)
+		if id.Node != rowNode {
+			rowNode = id.Node
+			node := ctx.Model.Cluster.Node(id)
+			for ps := floor; ps < cluster.NumPStates; ps++ {
+				eet := ctx.Model.ExecMean(ctx.Task.Type, id.Node, ps)
+				row[ps].eet = eet
+				row[ps].eec = energy.ExpectedEnergy(node, ps, eet)
+			}
+		}
 
-		// The per-decision free-time memo (coreShare) shares one lazily
-		// materialized distribution across the core's P-state candidates;
-		// behind it sits either the cross-decision engine or a one-shot
-		// derivation whose head PMF is shared with the linearity shortcut.
 		var share *coreShare
 		if arena != nil {
 			share = &arena.shares[idx]
 		} else {
 			share = new(coreShare)
 		}
-		*share = coreShare{ft: ctx.FreeTimes, calc: ctx.Calc, counters: ctx.Counters, idx: idx, q: q, now: ctx.Now}
-		var freeMean float64
-		if share.ft != nil {
-			freeMean = share.ft.FreeMean(idx, q, ctx.Now)
-		} else {
-			share.head = ctx.Calc.HeadPMF(q, ctx.Now)
-			freeMean = freeMeanByLinearity(ctx, q, share.head)
-		}
-		for _, ps := range cluster.AllPStates() {
-			if ps < ctx.PStateFloor {
-				continue
-			}
-			eet := ctx.Model.ExecMean(ctx.Task.Type, id.Node, ps)
+		share.reset(dec, idx, view.Queue(idx))
+		for ps := floor; ps < cluster.NumPStates; ps++ {
 			var c *Candidate
 			if arena != nil {
 				c = &arena.cands[len(cands)]
 			} else {
 				c = new(Candidate)
 			}
-			// Field-wise assignment instead of a struct literal: the
-			// literal's stack temporary plus 128-byte duffcopy is
-			// measurable at 300 candidates per decision, and with an arena
-			// every field must be overwritten anyway.
-			c.Assignment = Assignment{Core: id, CoreIdx: idx, PState: ps}
-			c.QueueLen = len(q.Tasks)
-			c.EET = eet
-			c.EEC = energy.ExpectedEnergy(node, ps, eet)
-			c.freeMean = freeMean
+			// Field-wise assignment instead of struct literals: a literal
+			// builds a stack temporary and copies it, which is measurable
+			// at 300 candidates per decision, and with an arena every
+			// field must be overwritten anyway.
+			c.Core = id
+			c.CoreIdx = idx
+			c.PState = ps
+			c.QueueLen = len(share.q.Tasks)
+			c.EET = row[ps].eet
+			c.EEC = row[ps].eec
 			c.share = share
-			c.deadline = ctx.Task.Deadline
-			c.taskType = ctx.Task.Type
-			c.calc = ctx.Calc
-			c.counters = ctx.Counters
-			c.ft = ctx.FreeTimes
 			c.rho = -1
 			cands = append(cands, c)
 		}
@@ -265,13 +264,13 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 // freeMeanByLinearity computes E[free time] without convolutions: the
 // truncated completion mean of the running task (if any) plus the execution
 // means of the waiting tasks. head is the running task's truncated
-// completion PMF (Calculator.HeadPMF) — derived once by the caller and
-// shared with the full FreeTime chain, instead of each repeating the
-// Shift+TruncateBelow work. It is the zero PMF when the queue is empty or
-// the head task has not started.
-func freeMeanByLinearity(ctx *Context, q robustness.CoreQueue, head pmf.PMF) float64 {
+// completion PMF (Calculator.HeadPMF) — derived once and shared with the
+// full FreeTime chain, instead of each repeating the Shift+TruncateBelow
+// work. It is the zero PMF when the queue is empty or the head task has
+// not started.
+func freeMeanByLinearity(m *workload.Model, q robustness.CoreQueue, head pmf.PMF, now float64) float64 {
 	if len(q.Tasks) == 0 {
-		return ctx.Now
+		return now
 	}
 	mean := 0.0
 	for i, t := range q.Tasks {
@@ -279,11 +278,11 @@ func freeMeanByLinearity(ctx *Context, q robustness.CoreQueue, head pmf.PMF) flo
 			if t.Started {
 				mean = head.Mean()
 			} else {
-				mean = ctx.Now + ctx.Model.ExecMean(t.Type, q.Node, t.PState)
+				mean = now + m.ExecMean(t.Type, q.Node, t.PState)
 			}
 			continue
 		}
-		mean += ctx.Model.ExecMean(t.Type, q.Node, t.PState)
+		mean += m.ExecMean(t.Type, q.Node, t.PState)
 	}
 	return mean
 }
@@ -340,9 +339,19 @@ func (m *Mapper) Map(ctx *Context, cands []*Candidate) *Candidate {
 		if ctx.Arena != nil {
 			kept = feasible[:0]
 		}
-		for _, c := range feasible {
-			if f.Keep(ctx, c) {
-				kept = append(kept, c)
+		if ef, ok := f.(eecFilter); ok {
+			// An EEC bound is fixed for the decision: read it once.
+			bound := ef.eecBound(ctx)
+			for _, c := range feasible {
+				if c.EEC <= bound {
+					kept = append(kept, c)
+				}
+			}
+		} else {
+			for _, c := range feasible {
+				if f.Keep(ctx, c) {
+					kept = append(kept, c)
+				}
 			}
 		}
 		ctx.Counters.addRejections(i, len(feasible)-len(kept))

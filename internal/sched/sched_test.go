@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -523,5 +524,60 @@ func TestAssignmentString(t *testing.T) {
 	a := Assignment{Core: cluster.CoreID{Node: 1, Proc: 2, Core: 3}, PState: cluster.P2}
 	if a.String() != "n1.p2.c3@P2" {
 		t.Fatalf("assignment string %q", a.String())
+	}
+}
+
+// feasibleRecorder is a heuristic that records the feasible set it is
+// handed and picks its first member.
+type feasibleRecorder struct{ got []*Candidate }
+
+func (*feasibleRecorder) Name() string   { return "rec" }
+func (*feasibleRecorder) NeedsRho() bool { return false }
+func (r *feasibleRecorder) Choose(_ *Context, feasible []*Candidate) *Candidate {
+	r.got = append(r.got[:0], feasible...)
+	return feasible[0]
+}
+
+// TestMapEECBoundMatchesKeep: Map reads an EEC filter's bound once per
+// decision instead of calling Keep per candidate; the survivors must be
+// exactly the candidates Keep retains, for the energy filter and for the
+// cap, disabled or binding.
+func TestMapEECBoundMatchesKeep(t *testing.T) {
+	f := newFixture(t, 14)
+	ctx := f.ctx()
+	cands := BuildCandidates(ctx, f.view)
+	eecs := make([]float64, len(cands))
+	for i, c := range cands {
+		eecs[i] = c.EEC
+	}
+	sort.Float64s(eecs)
+	for _, flt := range []Filter{
+		EnergyFilter{},
+		EnergyFilter{Mul: FixedZetaMul(0.05)},
+		EECCapFilter{},
+		EECCapFilter{Cap: eecs[len(eecs)/2]},
+	} {
+		var want []*Candidate
+		for _, c := range cands {
+			if flt.Keep(ctx, c) {
+				want = append(want, c)
+			}
+		}
+		rec := &feasibleRecorder{}
+		chosen := (&Mapper{Heuristic: rec, Filters: []Filter{flt}}).Map(ctx, cands)
+		if len(want) == 0 {
+			if chosen != nil {
+				t.Fatalf("%#v: Keep rejects every candidate but Map chose one", flt)
+			}
+			continue
+		}
+		if len(rec.got) != len(want) {
+			t.Fatalf("%#v: Map kept %d candidates, Keep %d", flt, len(rec.got), len(want))
+		}
+		for i := range want {
+			if rec.got[i] != want[i] {
+				t.Fatalf("%#v: survivor %d differs", flt, i)
+			}
+		}
 	}
 }

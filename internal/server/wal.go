@@ -183,8 +183,8 @@ type wal struct {
 	f         *os.File
 	bw        *bufio.Writer
 	hdr       walHeader
-	n         uint64 // records appended (header excluded)
-	rejects   uint64 // reject records appended (subset of n)
+	n         uint64            // records appended (header excluded)
+	rejects   uint64            // reject records appended (subset of n)
 	tnRejects map[string]uint64 // reject records per tenant id (subset of rejects)
 	dirty     bool
 	err       error

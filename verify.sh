@@ -40,6 +40,13 @@ wait_addr() {
 
 echo "== tier 1: go build ./..."
 go build ./...
+echo "== tier 1: gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "verify: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 echo "== tier 1: go test ./..."
 go test ./...
 # The cache-parity suite proves the incremental free-time engine is
