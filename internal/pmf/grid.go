@@ -3,7 +3,6 @@ package pmf
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file implements the fixed-grid ("lattice") fast path for the §IV-B
@@ -167,9 +166,19 @@ func (l Lattice) Shift(dt float64) Lattice {
 
 // SearchValue returns the index of the first impulse with value >= t — the
 // cut TruncateAt would apply, mirroring PMF.SearchValue. The zero Lattice
-// yields 0.
-func (l Lattice) SearchValue(t float64) int {
-	return sort.Search(len(l.idx), func(k int) bool { return l.Value(k) >= t })
+// yields 0. It is sort.Search over the same predicate, written out so the
+// hot path builds no closure over a copy of the lattice.
+func (l *Lattice) SearchValue(t float64) int {
+	lo, hi := 0, len(l.idx)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if l.Value(h) >= t {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
 }
 
 // TruncateAt removes the first cut impulses and renormalizes the remainder,
@@ -179,8 +188,24 @@ func (l Lattice) SearchValue(t float64) int {
 // remainder with no mass) returns the zero Lattice and kept == 0; the caller
 // owns the degenerate-head fallback.
 func (l Lattice) TruncateAt(cut int) (Lattice, float64) {
+	return l.TruncateInto(cut, &LatticeScratch{})
+}
+
+// LatticeScratch holds reusable backing arrays for TruncateInto, so a
+// caller that re-truncates the same distribution as its cut drifts (the
+// free-time engine's running head, once per decision per busy core) does
+// not churn the heap with each new cut.
+type LatticeScratch struct{ prob, cum []float64 }
+
+// TruncateInto is TruncateAt with the renormalized masses and their prefix
+// sums written into the scratch's arrays instead of fresh allocations:
+// bit-identical impulses, cumulative sums and kept mass. A truncated result
+// aliases the scratch and is valid only until the next TruncateInto call
+// with the same scratch; a cut that keeps everything returns the receiver
+// and one that keeps nothing leaves the scratch untouched.
+func (l *Lattice) TruncateInto(cut int, s *LatticeScratch) (Lattice, float64) {
 	if cut <= 0 {
-		return l, 1
+		return *l, 1
 	}
 	if cut >= len(l.idx) {
 		return Lattice{}, 0
@@ -192,12 +217,23 @@ func (l Lattice) TruncateAt(cut int) (Lattice, float64) {
 	if mass <= 0 {
 		return Lattice{}, 0
 	}
-	inv := 1 / mass
-	prob := make([]float64, len(l.prob)-cut)
-	for j, p := range l.prob[cut:] {
-		prob[j] = p * inv
+	n := len(l.prob) - cut
+	if cap(s.prob) < n {
+		s.prob = make([]float64, n)
+		s.cum = make([]float64, n)
 	}
-	return Lattice{origin: l.origin, step: l.step, idx: l.idx[cut:], prob: prob, cum: prefixSums(prob)}, mass
+	prob, cum := s.prob[:n], s.cum[:n]
+	inv := 1 / mass
+	sum := 0.0
+	for j, p := range l.prob[cut:] {
+		// The explicit conversion rounds the stored mass before it enters
+		// the prefix sum, which then adds exactly what prob holds.
+		q := float64(p * inv)
+		prob[j] = q
+		sum += q
+		cum[j] = sum
+	}
+	return Lattice{origin: l.origin, step: l.step, idx: l.idx[cut:], prob: prob, cum: cum}, mass
 }
 
 // TruncatedMean returns the mean and kept mass of TruncateAt(cut) without
@@ -512,12 +548,13 @@ func (g Grid) Convolve(h Grid) Grid {
 // through ConvCDF replaces the O(|h|·|e|) double sum of TripleConvCDF
 // with an O(|e|) single sum. The sum saturates at 1; zero operands
 // yield 0. Pointer operands keep the per-candidate call free of struct
-// copies — the hot path evaluates this once per (P-state, core) pair.
+// copies — the hot path evaluates this once per (P-state, core) pair. The
+// kernel touches no shared state: callers report their calls through
+// CountRhoEvals.
 func (g *Grid) ConvCDF(e *Lattice, x float64) float64 {
 	if g.IsZero() || e.IsZero() {
 		return 0
 	}
-	opGridRhoEvals.Add(1)
 	t0 := int64(binFloor(x-g.origin-e.origin, g.step))
 	last := int64(len(g.cum) - 1)
 	tot := g.cum[last]
@@ -544,13 +581,12 @@ func (g *Grid) ConvCDF(e *Lattice, x float64) float64 {
 // (sparse on the lattice) and W ~ w (dense on the same lattice): the grid
 // form of the ρ evaluation, answered entirely from w's prefix sums —
 // h.Len()·e.Len() madds, no convolution, no allocation. The sum saturates
-// at 1. Zero operands yield 0. Pointer operands for the same reason as
-// ConvCDF: the scheduler calls this per candidate.
+// at 1. Zero operands yield 0. Pointer operands and caller-side counting
+// for the same reasons as ConvCDF: the scheduler calls this per candidate.
 func TripleConvCDF(h *Lattice, w *Grid, e *Lattice, x float64) float64 {
 	if h.IsZero() || w.IsZero() || e.IsZero() {
 		return 0
 	}
-	opGridRhoEvals.Add(1)
 	t0 := int64(binFloor(x-h.origin-w.origin-e.origin, w.step))
 	wLast := int64(len(w.cum) - 1)
 	wTot := w.cum[wLast]

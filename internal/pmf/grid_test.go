@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -269,6 +270,101 @@ func TestTruncatedMeanMatchesTruncateAt(t *testing.T) {
 		t.Fatalf("TruncatedMean allocates %v times per pass", n)
 	}
 	_ = sink
+}
+
+// truncateRef is the allocating truncation TruncateInto replaced, kept as
+// the independent reference: renormalize the surviving masses into a fresh
+// slice, then take its prefix sums.
+func truncateRef(l Lattice, cut int) (Lattice, float64) {
+	if cut <= 0 {
+		return l, 1
+	}
+	if cut >= len(l.idx) {
+		return Lattice{}, 0
+	}
+	mass := 0.0
+	for _, p := range l.prob[cut:] {
+		mass += p
+	}
+	if mass <= 0 {
+		return Lattice{}, 0
+	}
+	inv := 1 / mass
+	prob := make([]float64, len(l.prob)-cut)
+	for j, p := range l.prob[cut:] {
+		prob[j] = p * inv
+	}
+	return Lattice{origin: l.origin, step: l.step, idx: l.idx[cut:], prob: prob, cum: prefixSums(prob)}, mass
+}
+
+// sameLattice reports whether a and b are equal impulse by impulse, their
+// masses and prefix sums compared by bits.
+func sameLattice(a, b Lattice) bool {
+	if a.Len() != b.Len() || len(a.cum) != len(b.cum) ||
+		math.Float64bits(a.origin) != math.Float64bits(b.origin) || math.Float64bits(a.step) != math.Float64bits(b.step) {
+		return false
+	}
+	for k := range a.idx {
+		if a.idx[k] != b.idx[k] || math.Float64bits(a.prob[k]) != math.Float64bits(b.prob[k]) ||
+			math.Float64bits(a.cum[k]) != math.Float64bits(b.cum[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTruncateIntoMatchesTruncateAt: over random lattices and every cut
+// from -2 to Len()+1, remainders with no mass included, TruncateInto and
+// TruncateAt equal the allocating reference bit for bit — masses, prefix
+// sums and kept mass. One scratch serves every cut of every lattice in a
+// shuffled order, so it grows, shrinks and is rewritten under earlier
+// results, none of which may leak into a later one. SearchValue equals
+// sort.Search over the same predicate at, and one ulp either side of,
+// every impulse.
+func TestTruncateIntoMatchesTruncateAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var scratch LatticeScratch
+	check := func(trial int, l Lattice) {
+		cuts := rng.Perm(l.Len() + 4)
+		for _, c := range cuts {
+			cut := c - 2
+			want, wantKept := truncateRef(l, cut)
+			at, atKept := l.TruncateAt(cut)
+			into, intoKept := l.TruncateInto(cut, &scratch)
+			for what, got := range map[string]Lattice{"TruncateAt": at, "TruncateInto": into} {
+				if !sameLattice(got, want) {
+					t.Fatalf("trial %d cut %d: %s differs from the reference", trial, cut, what)
+				}
+			}
+			if math.Float64bits(atKept) != math.Float64bits(wantKept) || math.Float64bits(intoKept) != math.Float64bits(wantKept) {
+				t.Fatalf("trial %d cut %d: kept %v / %v, want %v", trial, cut, atKept, intoKept, wantKept)
+			}
+		}
+		for k := 0; k < l.Len(); k++ {
+			v := l.Value(k)
+			for _, x := range []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))} {
+				want := sort.Search(l.Len(), func(j int) bool { return l.Value(j) >= x })
+				if got := l.SearchValue(x); got != want {
+					t.Fatalf("trial %d: SearchValue(%v) = %d, sort.Search %d", trial, x, got, want)
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		l := ToLattice(randPMF(rng, 1+rng.Intn(20), 50), 0.25+rng.Float64()).Shift(1000 * rng.Float64())
+		check(trial, l)
+		z := rng.Intn(l.Len() + 1)
+		prob := append([]float64(nil), l.prob...)
+		for k := z; k < len(prob); k++ {
+			prob[k] = 0
+		}
+		check(trial, Lattice{origin: l.origin, step: l.step, idx: l.idx, prob: prob, cum: prefixSums(prob)})
+	}
+	check(-1, Lattice{})
+	var zero Lattice
+	if zero.SearchValue(1) != 0 {
+		t.Fatal("the zero Lattice must search to 0")
+	}
 }
 
 // TestPointLatticeAllocFree pins the degenerate-head fast path: minting a

@@ -6,7 +6,11 @@ import "sync/atomic"
 // cost (§IV-B chains one convolution per queued task per candidate core),
 // so the package keeps process-global atomic tallies that the experiment
 // harness samples before and after a run to attribute work. One atomic add
-// per convolution is noise next to the O(n·m) impulse product itself.
+// per convolution is noise next to the O(n·m) impulse product itself. A ρ
+// kernel call (ConvCDF, TripleConvCDF) is not: it costs a handful of
+// prefix-sum lookups, and concurrent runs would contend on a shared
+// counter. The kernels therefore count nothing; their callers tally the
+// calls they make and publish them through CountRhoEvals.
 var (
 	opConvolutions      atomic.Int64
 	opBucketed          atomic.Int64
@@ -36,10 +40,15 @@ type OpCounts struct {
 	// FFTConvolutions counts the subset of GridConvolutions dispatched to
 	// the FFT kernel above the support-length crossover.
 	FFTConvolutions int64 `json:"fftConvolutions"`
-	// GridRhoEvals counts ρ evaluations answered by TripleConvCDF — a
-	// prefix-sum double loop in place of a convolution plus CDF walk.
+	// GridRhoEvals counts ρ evaluations answered by the lattice CDF
+	// kernels (ConvCDF, TripleConvCDF) in place of a convolution plus CDF
+	// walk, as their callers report them through CountRhoEvals.
 	GridRhoEvals int64 `json:"gridRhoEvals"`
 }
+
+// CountRhoEvals adds n ρ kernel evaluations to GridRhoEvals. Callers that
+// evaluate ρ on a hot path tally locally and publish the sum in one call.
+func CountRhoEvals(n int64) { opGridRhoEvals.Add(n) }
 
 // ReadOpCounts samples the counters. Counters increase monotonically for
 // the life of the process; subtract two samples to attribute work to an

@@ -49,7 +49,9 @@ var (
 // New builds a PMF from parallel value/probability slices. Values need not
 // be sorted; duplicates are merged by summing their probabilities.
 // Probabilities must be non-negative with a positive finite sum and are
-// normalized to sum to one. The input slices are not retained.
+// normalized to sum to one; an impulse whose normalized mass underflows to
+// zero is dropped, as a zero input mass is. The input slices are not
+// retained.
 func New(vals, probs []float64) (PMF, error) {
 	if len(vals) != len(probs) {
 		return PMF{}, ErrLengthMismatch
@@ -74,7 +76,7 @@ func New(vals, probs []float64) (PMF, error) {
 		imps = append(imps, impulse{v, p})
 		total += p
 	}
-	if len(imps) == 0 || total <= 0 {
+	if len(imps) == 0 || total <= 0 || math.IsInf(total, 1) {
 		return PMF{}, fmt.Errorf("%w: total mass %v", ErrBadProbability, total)
 	}
 	sort.Slice(imps, func(i, j int) bool { return imps[i].v < imps[j].v })
@@ -89,10 +91,16 @@ func New(vals, probs []float64) (PMF, error) {
 		outP = append(outP, im.p)
 	}
 	inv := 1 / total
+	n := 0
 	for i := range outP {
-		outP[i] *= inv
+		// The largest impulse keeps at least 1/len(outP) of the mass, so
+		// at least one survives.
+		if p := outP[i] * inv; p > 0 {
+			outV[n], outP[n] = outV[i], p
+			n++
+		}
 	}
-	return PMF{vals: outV, probs: outP}, nil
+	return PMF{vals: outV[:n], probs: outP[:n]}, nil
 }
 
 // MustNew is New but panics on error; for literals in tests and generators

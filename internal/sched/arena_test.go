@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/robustness"
 )
 
@@ -141,5 +142,73 @@ func TestArenaAllocsAsCutMoves(t *testing.T) {
 	}
 	if moves < 10 {
 		t.Fatalf("the head's cut moved %d times over 51 decisions; the test does not exercise it", moves)
+	}
+}
+
+// TestArenaAllocsAsCutMovesRho is TestArenaAllocsAsCutMoves on the ρ path:
+// an LL+en+rob decision evaluates ρ on the core whose started head's cut
+// moves with every decision, so the engine re-truncates that head each
+// time, and the decision — counts flushed as the engines flush them —
+// must still allocate nothing.
+func TestArenaAllocsAsCutMovesRho(t *testing.T) {
+	f := newFixture(t, 13)
+	head := robustness.QueuedTask{Type: 1, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 80}
+	f.view.push(0, head)
+	f.view.push(0, robustness.QueuedTask{Type: 3, PState: cluster.P1, Deadline: 1e9})
+	f.view.push(1, robustness.QueuedTask{Type: 2, PState: cluster.P2, Deadline: 1e9, Started: true, StartAt: 60})
+	lat := f.model.ExecLattice(head.Type, f.view.queues[0].Node, head.PState).Lat.Shift(head.StartAt)
+	if lat.Len() < 3 {
+		t.Fatalf("head lattice has %d impulses; the cut cannot move", lat.Len())
+	}
+
+	m := &Mapper{Heuristic: LightestLoad{}, Filters: EnergyAndRobustness.Filters()}
+	eng := robustness.NewFreeTimeEngine(f.calc, f.view.NumCores())
+	counters := NewCounters(metrics.NewRegistry(), m.Filters)
+	counters.InstrumentFreeTimes(eng)
+	ctx := f.ctx()
+	ctx.FreeTimes = eng
+	ctx.Counters = counters
+	ctx.Arena = NewArena()
+
+	step := f.model.LatticeStep()
+	lo, hi := lat.Min()+step, lat.Value(lat.Len()-1)
+	now, cut, moves := lo, -1, 0
+	decisions, kernel := 0, 0
+	decide := func() {
+		decisions++
+		if now += step; now >= hi {
+			now = lo
+		}
+		if k := lat.SearchValue(now); k != cut {
+			cut = k
+			moves++
+		}
+		ctx.Now = now
+		ctx.Task.Deadline = now + 3*f.model.TAvg()
+		cands := BuildCandidates(ctx, f.view)
+		first := cands[0] // core 0 leads the core-major order
+		if c := m.Map(ctx, cands); c == nil {
+			t.Fatal("decision filtered out every candidate")
+		}
+		// The infeasibility skip answers exactly 0; anything above it
+		// came from the kernel on the re-truncated head.
+		if first.CoreIdx == 0 && first.Rho() > 0 {
+			kernel++
+		}
+		eng.Flush()
+		counters.Flush()
+	}
+	decide() // warm: grows the arena and the head's scratch
+	if n := testing.AllocsPerRun(50, decide); n > 0 {
+		t.Fatalf("ρ decision with a moving cut allocates %v times, want 0", n)
+	}
+	if moves < 10 {
+		t.Fatalf("the head's cut moved %d times over %d decisions; the test does not exercise it", moves, decisions)
+	}
+	if kernel != decisions {
+		t.Fatalf("the kernel answered ρ on the moving head's core in %d of %d decisions", kernel, decisions)
+	}
+	if counters.GridRho.Value() == 0 || counters.RhoEvals.Value() == 0 {
+		t.Fatal("no kernel ρ evaluation was published")
 	}
 }

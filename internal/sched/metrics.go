@@ -6,9 +6,13 @@ import (
 )
 
 // Counters is the scheduler's prepared instrumentation: handles registered
-// once per simulation run and bumped lock-free on the mapping hot path.
-// All methods are nil-receiver-safe, so instrumented call sites stay
-// unconditional when no registry is attached.
+// once per simulation run and bumped on the mapping hot path. The per-ρ
+// counts (RhoEvals, FreeTimeHits, FreeTimeMisses) are tallied in plain
+// fields and published at Flush, so a ρ evaluation does no atomic: a
+// Counters belongs to one engine's single-goroutine event loop, which
+// flushes at the end of each decision, and the published counts are exact
+// at those boundaries. All methods are nil-receiver-safe, so instrumented
+// call sites stay unconditional when no registry is attached.
 type Counters struct {
 	// Decisions counts mapping decisions (one per arriving task).
 	Decisions *metrics.Counter
@@ -48,6 +52,9 @@ type Counters struct {
 	// rejections[i] counts candidates eliminated by Mapper.Filters[i];
 	// prepared per filter so the hot path avoids map lookups.
 	rejections []*metrics.Counter
+
+	// Pending per-ρ counts, published by Flush.
+	rho, freeHits, freeMisses int64
 }
 
 // NewCounters registers the scheduler's instruments in the registry, with
@@ -103,9 +110,9 @@ func (c *Counters) freeTime(hit bool) {
 		return
 	}
 	if hit {
-		c.FreeTimeHits.Inc()
+		c.freeHits++
 	} else {
-		c.FreeTimeMisses.Inc()
+		c.freeMisses++
 	}
 }
 
@@ -113,7 +120,25 @@ func (c *Counters) addRho() {
 	if c == nil {
 		return
 	}
-	c.RhoEvals.Inc()
+	c.rho++
+}
+
+// Flush publishes the pending per-ρ counts with one atomic add per
+// non-zero count, and does nothing when none are pending.
+func (c *Counters) Flush() {
+	if c == nil {
+		return
+	}
+	publish(&c.rho, c.RhoEvals)
+	publish(&c.freeHits, c.FreeTimeHits)
+	publish(&c.freeMisses, c.FreeTimeMisses)
+}
+
+func publish(n *int64, out *metrics.Counter) {
+	if *n != 0 {
+		out.Add(*n)
+		*n = 0
+	}
 }
 
 func (c *Counters) addRejections(filterIdx, n int) {

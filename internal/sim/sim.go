@@ -607,6 +607,7 @@ func (e *engine) checkCancelled() error {
 }
 
 func (e *engine) loop() error {
+	defer e.flushCounts()
 	for e.events.Len() > 0 {
 		if err := e.checkCancelled(); err != nil {
 			return err
@@ -657,8 +658,18 @@ func (e *engine) loop() error {
 			e.handleRequeue(ev.time, ev.idx)
 		}
 		e.res.Makespan = ev.time
+		e.flushCounts()
 	}
 	return nil
+}
+
+// flushCounts publishes the ρ path's pending counts: the free-time
+// engine's and the scheduler's plain-field tallies, which this loop alone
+// writes. Called at the end of every turn and on every return, so the
+// registry and pmf.ReadOpCounts are exact whenever a turn is not running.
+func (e *engine) flushCounts() {
+	e.ftc.Flush()
+	e.met.schedCounters().Flush()
 }
 
 // staleCompletion reports whether a completion event refers to an execution

@@ -54,6 +54,11 @@ go test ./...
 # so a cache shared across goroutines can never slip in unnoticed.
 echo "== tier 1: go test -race (free-time cache parity)"
 go test -race -run 'FreeTimeEngine|ExactRho' ./internal/robustness
+# The per-ρ tallies are plain fields owned by one event loop; the counters
+# pin runs two simulations at once and a server engine, so a tally that
+# leaks across goroutines fails here.
+echo "== tier 1: go test -race (counter publication pin)"
+go test -race -run 'TestGolden(Concurrent|Server)Counters$' .
 # The tracked size number (ROADMAP aim 2): non-test Go lines outside
 # benchmark/. A PR that grows it should be able to say what for.
 echo "== tier 1: non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -exec cat {} + | wc -l)"
