@@ -91,6 +91,10 @@ type Meter struct {
 	// the hook for the §VIII extensions (stochastic per-execution power,
 	// parked cores). Negative means "use the table".
 	override []float64
+	// draw[i] is core i's current contribution to rate: its override or
+	// table power, divided by its supply efficiency. It is refreshed
+	// wherever core i's state or override changes, so recompute only sums.
+	draw []float64
 
 	record bool
 	lists  [][]Transition
@@ -125,6 +129,7 @@ func NewMeter(c *cluster.Cluster, initial cluster.PState, budget float64, record
 		budget:   budget,
 		record:   record,
 		override: make([]float64, len(cores)),
+		draw:     make([]float64, len(cores)),
 	}
 	for i := range m.override {
 		m.override[i] = -1
@@ -140,21 +145,37 @@ func NewMeter(c *cluster.Cluster, initial cluster.PState, budget float64, record
 			m.lists[idx] = []Transition{{Time: 0, To: initial}}
 		}
 	}
-	m.recompute()
+	m.refreshAll()
 	return m, nil
 }
 
-// recompute rebuilds the wall rate as a fresh sum over cores in index
-// order. Keeping rate a pure function of (state, override) — instead of
-// maintaining it incrementally — means a meter restored from a checkpoint
-// integrates future advances bit-identically to the uninterrupted meter:
-// there is no accumulated ulp drift to reproduce.
+// recompute rebuilds the wall rate as a fresh sum of the cached per-core
+// draws in index order. Keeping rate a pure function of (state, override)
+// — instead of adding and subtracting one core's change — means a meter
+// restored from a checkpoint integrates future advances bit-identically to
+// the uninterrupted meter: there is no accumulated ulp drift to reproduce.
+// Callers refresh the draw of whichever core changed before calling it.
 func (m *Meter) recompute() {
 	rate := 0.0
-	for idx := range m.state {
-		rate += m.coreDraw(idx)
+	for _, d := range m.draw {
+		rate += d
 	}
 	m.rate = rate
+}
+
+// refreshAll re-derives every core's cached draw and the rate from
+// (state, override).
+func (m *Meter) refreshAll() {
+	for idx := range m.draw {
+		m.draw[idx] = m.coreDraw(idx)
+	}
+	m.recompute()
+}
+
+// refresh re-derives one core's cached draw and the rate.
+func (m *Meter) refresh(coreIdx int) {
+	m.draw[coreIdx] = m.coreDraw(coreIdx)
+	m.recompute()
 }
 
 // MeterState is a serializable snapshot of the meter's accounting: the
@@ -221,7 +242,7 @@ func (m *Meter) Restore(st MeterState) error {
 	copy(m.override, st.Override)
 	m.record = false
 	m.lists = nil
-	m.recompute()
+	m.refreshAll()
 	m.consumed.Set(m.used)
 	return nil
 }
@@ -327,7 +348,7 @@ func (m *Meter) SetPState(coreIdx int, p cluster.PState) {
 	}
 	m.state[coreIdx] = p
 	m.override[coreIdx] = -1
-	m.recompute()
+	m.refresh(coreIdx)
 	m.transitions.Inc()
 	if m.record {
 		m.lists[coreIdx] = append(m.lists[coreIdx], Transition{Time: m.now, To: p})
@@ -345,7 +366,7 @@ func (m *Meter) SetPower(coreIdx int, watts float64) {
 		panic(fmt.Sprintf("energy: invalid power override %v", watts))
 	}
 	m.override[coreIdx] = watts
-	m.recompute()
+	m.refresh(coreIdx)
 	m.record = false // transition replay can no longer reproduce the run
 }
 
@@ -356,7 +377,7 @@ func (m *Meter) ClearPower(coreIdx int) {
 		return
 	}
 	m.override[coreIdx] = -1
-	m.recompute()
+	m.refresh(coreIdx)
 }
 
 // Transitions returns the recorded per-core transition lists (nil unless

@@ -351,3 +351,69 @@ func TestMeterRestoreRejectsBadState(t *testing.T) {
 		t.Fatal("Restore accepted invalid P-state")
 	}
 }
+
+// TestMeterRateIsIndexOrderSum drives a random mix of P-state changes,
+// power overrides and override clears, with a Restore(State()) into a
+// fresh meter half way, and requires the rate after every operation to be
+// bit-equal to the index-order sum of each core's table-or-override power
+// over its efficiency — the pure function of (state, override) that lets a
+// restored meter integrate exactly like the uninterrupted one.
+func TestMeterRateIsIndexOrderSum(t *testing.T) {
+	c := testCluster(t, 4)
+	cores := c.Cores()
+	m, err := NewMeter(c, cluster.P4, math.Inf(1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make([]cluster.PState, len(cores))
+	override := make([]float64, len(cores))
+	for i := range cores {
+		state[i], override[i] = cluster.P4, -1
+	}
+	check := func(step int, op string) {
+		t.Helper()
+		want := 0.0
+		for i, id := range cores {
+			p := override[i]
+			if p < 0 {
+				p = c.Node(id).Power[state[i]]
+			}
+			want += p / c.Node(id).Efficiency
+		}
+		if math.Float64bits(m.Rate()) != math.Float64bits(want) {
+			t.Fatalf("step %d (%s): rate %v, index-order sum %v", step, op, m.Rate(), want)
+		}
+	}
+	check(-1, "new")
+	r := randx.NewStream(11)
+	const steps = 5000
+	for step := 0; step < steps; step++ {
+		idx := r.IntN(len(cores))
+		switch op := r.IntN(3); {
+		case step == steps/2:
+			fresh, err := NewMeter(c, cluster.P0, math.Inf(1), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Restore(m.State()); err != nil {
+				t.Fatal(err)
+			}
+			m = fresh
+			check(step, "restore")
+		case op == 0:
+			ps := cluster.PState(r.IntN(cluster.NumPStates))
+			m.SetPState(idx, ps)
+			state[idx], override[idx] = ps, -1
+			check(step, "SetPState")
+		case op == 1:
+			w := 100 * r.Float64()
+			m.SetPower(idx, w)
+			override[idx] = w
+			check(step, "SetPower")
+		default:
+			m.ClearPower(idx)
+			override[idx] = -1
+			check(step, "ClearPower")
+		}
+	}
+}

@@ -178,6 +178,8 @@ type SystemView interface {
 	// CoreID returns the hierarchical ID of the core at a flat index.
 	CoreID(idx int) cluster.CoreID
 	// Queue returns the core's current occupancy snapshot in FIFO order.
+	// The snapshot may share the view's storage: it is valid until that
+	// core's queue next changes, and callers must not modify it.
 	Queue(idx int) robustness.CoreQueue
 }
 

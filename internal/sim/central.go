@@ -94,8 +94,8 @@ func validateCentral(cfg Config) error {
 // idleCore returns the lowest flat index of a core that is up and has an
 // empty queue, or -1 when every core is busy or down.
 func (e *engine) idleCore() int {
-	for idx, q := range e.queues {
-		if len(q) == 0 && !e.coreDown(idx) {
+	for idx := range e.queues {
+		if e.queues[idx].len() == 0 && !e.coreDown(idx) {
 			return idx
 		}
 	}

@@ -129,7 +129,7 @@ func (e *engine) checkBrownout(now float64) {
 	}
 	if st := e.bro.Current(); st.ParkIdle {
 		for i := range e.queues {
-			if len(e.queues[i]) == 0 && !e.coreDown(i) {
+			if e.queues[i].len() == 0 && !e.coreDown(i) {
 				e.meter.SetPower(i, 0)
 			}
 		}
@@ -276,22 +276,20 @@ func (e *engine) downCore(now float64, kind fault.Kind, coreIdx int, repair floa
 	if e.fobs != nil {
 		e.fobs.CoreFailed(now, e.cores[coreIdx], kind, repair)
 	}
-	q := e.queues[coreIdx]
-	e.queues[coreIdx] = nil
+	q := &e.queues[coreIdx]
 	e.ftc.Invalidate(coreIdx)
-	if len(q) > 0 {
-		e.inSystem -= len(q)
-		for i := range q {
-			if q[i].started {
-				e.res.TasksKilled++
-				e.met.taskKilled()
-			}
-			if e.fobs != nil {
-				e.fobs.TaskKilled(now, q[i].task, e.cores[coreIdx])
-			}
-			e.recoverTask(now, q[i].task)
+	e.inSystem -= q.len()
+	for i := range q.run {
+		if q.snap[i].Started {
+			e.res.TasksKilled++
+			e.met.taskKilled()
 		}
+		if e.fobs != nil {
+			e.fobs.TaskKilled(now, q.run[i].task, e.cores[coreIdx])
+		}
+		e.recoverTask(now, q.run[i].task)
 	}
+	q.clear()
 	if e.cfg.Park.Enabled {
 		e.idleGen[coreIdx]++ // invalidate pending park checks
 		if e.parked[coreIdx] {

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -271,13 +270,43 @@ type Result struct {
 	Traces []TaskTrace
 }
 
-// queued is one task occupying a core.
+// coreQueue is one core's FIFO occupancy, held as two slices kept in
+// lockstep: snap is what the scheduler reads, and is itself the snapshot
+// Queue returns; run is what only the simulator reads. Each field has one
+// home, so nothing is copied to answer a Queue call. Both slices keep their
+// capacity across pops, so a steady-state queue never reallocates.
+type coreQueue struct {
+	snap []robustness.QueuedTask
+	run  []queued
+}
+
+// queued is the simulator's half of one queue entry.
 type queued struct {
-	task    workload.Task
-	pstate  cluster.PState
-	actual  float64 // realized execution time, fixed at map time
-	started bool
-	startAt float64
+	task   workload.Task
+	actual float64 // realized execution time, fixed at map time
+}
+
+func (q *coreQueue) len() int { return len(q.run) }
+
+// push appends a task, waiting at P-state ps, to the tail.
+func (q *coreQueue) push(task workload.Task, ps cluster.PState, actual float64) {
+	q.snap = append(q.snap, robustness.QueuedTask{Type: task.Type, PState: ps, Deadline: task.Deadline})
+	q.run = append(q.run, queued{task: task, actual: actual})
+}
+
+// popFront removes the head by shifting both slices down in place, which
+// keeps their capacity (re-slicing past the head would not).
+func (q *coreQueue) popFront() {
+	n := copy(q.snap, q.snap[1:])
+	q.snap = q.snap[:n]
+	copy(q.run, q.run[1:])
+	q.run = q.run[:n]
+}
+
+// clear empties the queue, keeping its capacity.
+func (q *coreQueue) clear() {
+	q.snap = q.snap[:0]
+	q.run = q.run[:0]
 }
 
 // event kinds, in tie-break priority order at equal times: completions
@@ -306,9 +335,12 @@ type event struct {
 	seq int
 }
 
+// eventHeap is a binary min-heap of events under Less. It is typed rather
+// than driven through container/heap, so no event is boxed into an
+// interface on push or pop. Less is a strict total order (seq is unique),
+// so the pop order is fully determined by the events pushed.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
@@ -318,9 +350,43 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.Less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q.Less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q.Less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
 
 // engine is the run state; it implements sched.SystemView.
 type engine struct {
@@ -333,16 +399,15 @@ type engine struct {
 	meter     *energy.Meter
 	rand      *randx.Stream
 	cores     []cluster.CoreID
-	queues    [][]queued
+	queues    []coreQueue
 	events    eventHeap
 	seq       int
 
-	// Per-decision scratch: the scheduler arena and per-core queue-snapshot
-	// buffers Queue() reuses. Safe because snapshots are decision-scoped —
-	// every consumer (candidate shares, the free-time engine's seen-queue
-	// record) is overwritten before the next decision reads them.
+	// Per-decision scratch, overwritten by every decision: the scheduler
+	// arena and the decision context. Neither outlives a decision, so one
+	// of each serves the whole run without allocating per decision.
 	arena *sched.Arena
-	qbuf  [][]robustness.QueuedTask
+	dctx  sched.Context
 
 	energyLeft    float64 // heuristic estimate ζ(t_l)
 	inSystem      int     // mapped, not yet completed
@@ -387,28 +452,13 @@ func (e *engine) NumCores() int { return len(e.cores) }
 // CoreID implements sched.SystemView.
 func (e *engine) CoreID(idx int) cluster.CoreID { return e.cores[idx] }
 
-// Queue implements sched.SystemView: a snapshot of the core's occupancy,
-// built into a reusable per-core buffer (snapshots are decision-scoped).
+// Queue implements sched.SystemView in O(1): the core's snapshot slice is
+// its queue's own scheduler half, returned without a copy. The capacity is
+// capped at the length, so a consumer's append cannot write into engine
+// storage; the snapshot is valid until the core's queue next changes.
 func (e *engine) Queue(idx int) robustness.CoreQueue {
-	q := e.queues[idx]
-	cq := robustness.CoreQueue{Node: e.cores[idx].Node}
-	if len(q) == 0 {
-		return cq
-	}
-	if cap(e.qbuf[idx]) < len(q) {
-		e.qbuf[idx] = make([]robustness.QueuedTask, len(q))
-	}
-	cq.Tasks = e.qbuf[idx][:len(q)]
-	for i, t := range q {
-		cq.Tasks[i] = robustness.QueuedTask{
-			Type:     t.task.Type,
-			PState:   t.pstate,
-			Deadline: t.task.Deadline,
-			Started:  t.started,
-			StartAt:  t.startAt,
-		}
-	}
-	return cq
+	s := e.queues[idx].snap
+	return robustness.CoreQueue{Node: e.cores[idx].Node, Tasks: s[:len(s):len(s)]}
 }
 
 // Run executes one trial under the configuration. decisions seeds the
@@ -503,7 +553,7 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		meter:      meter,
 		rand:       decisions,
 		cores:      cfg.Model.Cluster.Cores(),
-		queues:     make([][]queued, cfg.Model.Cluster.TotalCores()),
+		queues:     make([]coreQueue, cfg.Model.Cluster.TotalCores()),
 		energyLeft: budget,
 		central:    cfg.CentralQueue,
 		res: &Result{
@@ -518,7 +568,6 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.queues))
 	}
 	e.arena = sched.NewArena()
-	e.qbuf = make([][]robustness.QueuedTask, len(e.queues))
 	if eo, ok := cfg.Observer.(EnergyObserver); ok {
 		e.eobs = eo
 	}
@@ -585,8 +634,8 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 func (e *engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
-	e.met.heapDepth(e.events.Len())
+	e.events.push(ev)
+	e.met.heapDepth(len(e.events))
 }
 
 // cancelCheckMask throttles context polls to one per 64 processed events:
@@ -608,11 +657,11 @@ func (e *engine) checkCancelled() error {
 
 func (e *engine) loop() error {
 	defer e.flushCounts()
-	for e.events.Len() > 0 {
+	for len(e.events) > 0 {
 		if err := e.checkCancelled(); err != nil {
 			return err
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		if ev.kind == evFault && !e.faultWorkRemains() {
 			// Trailing fault beyond the last resolvable task: dropping it
 			// (before the meter advances) is what lets the loop drain — the
@@ -706,7 +755,8 @@ func (e *engine) arrive(now float64, taskIdx int) {
 // enumeration, the filter chain, the heuristic — and returns its choice,
 // or nil when no assignment survives.
 func (e *engine) decide(now float64, task workload.Task, tasksLeft int) *sched.Candidate {
-	ctx := &sched.Context{
+	ctx := &e.dctx
+	*ctx = sched.Context{
 		Now:           now,
 		Task:          task,
 		Model:         e.cfg.Model,
@@ -732,7 +782,8 @@ func (e *engine) decide(now float64, task workload.Task, tasksLeft int) *sched.C
 // the task on its core, records and announces the mapping, and starts the
 // core if it was idle. pred is evaluated only for a DecisionObserver, and
 // before the enqueue: an immediate-mode prediction convolves against the
-// queue snapshot BuildCandidates captured, which the enqueue would mutate.
+// core's queue as BuildCandidates saw it, and the enqueue changes both that
+// queue and the free-time engine's cache of it.
 func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec float64, pred func() sched.Prediction) {
 	e.res.Mapped++
 	e.met.taskMapped()
@@ -742,8 +793,9 @@ func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec
 	}
 	actual := e.cfg.Model.ActualExecTime(task, a.Core.Node, a.PState)
 	idx := a.CoreIdx
-	e.queues[idx] = append(e.queues[idx], queued{task: task, pstate: a.PState, actual: actual})
-	e.ftc.OnEnqueue(idx, a.Core.Node, task.Type, a.PState, len(e.queues[idx]))
+	q := &e.queues[idx]
+	q.push(task, a.PState, actual)
+	e.ftc.OnEnqueue(idx, a.Core.Node, task.Type, a.PState, q.len())
 	e.inSystem++
 	if e.cfg.Trace {
 		tr := &e.res.Traces[task.ID]
@@ -751,7 +803,7 @@ func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec
 		tr.Assignment = a
 	}
 	e.cfg.Observer.TaskMapped(now, task, a)
-	if len(e.queues[idx]) == 1 {
+	if q.len() == 1 {
 		e.start(now, idx)
 	}
 }
@@ -761,7 +813,8 @@ func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec
 // scheduled at the realized finish time.
 func (e *engine) start(now float64, coreIdx int) {
 	e.ftc.Invalidate(coreIdx) // the head gains Started/StartAt
-	head := &e.queues[coreIdx][0]
+	q := &e.queues[coreIdx]
+	snap, head := &q.snap[0], &q.run[0]
 	wake := 0.0
 	if e.cfg.Park.Enabled {
 		e.idleGen[coreIdx]++ // invalidate any pending park check
@@ -772,18 +825,18 @@ func (e *engine) start(now float64, coreIdx int) {
 			wake = e.cfg.Park.WakeLatency
 		}
 	}
-	e.setPState(now, coreIdx, head.pstate)
+	e.setPState(now, coreIdx, snap.PState)
 	if e.cfg.PowerCV > 0 {
 		node := e.cfg.Model.Cluster.Node(e.cores[coreIdx])
 		factor := e.powerRand.GammaMeanCV(1, e.cfg.PowerCV)
-		e.meter.SetPower(coreIdx, node.Power[head.pstate]*factor)
+		e.meter.SetPower(coreIdx, node.Power[snap.PState]*factor)
 	}
-	head.started = true
-	head.startAt = now
+	snap.Started = true
+	snap.StartAt = now
 	if e.cfg.Trace {
 		e.res.Traces[head.task.ID].Start = now
 	}
-	e.cfg.Observer.TaskStarted(now, head.task, e.assignment(coreIdx, head.pstate))
+	e.cfg.Observer.TaskStarted(now, head.task, e.assignment(coreIdx, snap.PState))
 	gen := 0
 	if e.flt != nil {
 		gen = e.flt.runGen[coreIdx]
@@ -793,7 +846,7 @@ func (e *engine) start(now float64, coreIdx int) {
 
 // park power-gates a core if it is still idle and the check is current.
 func (e *engine) park(coreIdx, gen int) {
-	if !e.cfg.Park.Enabled || e.parked[coreIdx] || gen != e.idleGen[coreIdx] || len(e.queues[coreIdx]) > 0 {
+	if !e.cfg.Park.Enabled || e.parked[coreIdx] || gen != e.idleGen[coreIdx] || e.queues[coreIdx].len() > 0 {
 		return
 	}
 	if e.coreDown(coreIdx) {
@@ -830,44 +883,44 @@ func (e *engine) assignment(coreIdx int, ps cluster.PState) sched.Assignment {
 // complete retires the head of the core's queue and starts the next task
 // (or parks the core in the idle P-state).
 func (e *engine) complete(now float64, coreIdx int) {
-	q := e.queues[coreIdx]
-	head := q[0]
-	e.queues[coreIdx] = q[1:]
+	q := &e.queues[coreIdx]
+	head, ps := q.run[0].task, q.snap[0].PState
+	q.popFront()
 	// One version bump covers the head pop and any overdue-waiting drops
 	// below: no free-time query can run before the queue settles.
 	e.ftc.Invalidate(coreIdx)
 	e.inSystem--
-	onTime := now <= head.task.Deadline
+	onTime := now <= head.Deadline
 	if onTime {
 		e.res.OnTime++
-		e.res.WeightedOnTime += head.task.Priority
+		e.res.WeightedOnTime += head.Priority
 		if e.cfg.Trace {
-			e.res.Traces[head.task.ID].Outcome = OutcomeOnTime
+			e.res.Traces[head.ID].Outcome = OutcomeOnTime
 		}
 	} else {
 		e.res.Late++
 		if e.cfg.Trace {
-			e.res.Traces[head.task.ID].Outcome = OutcomeLate
+			e.res.Traces[head.ID].Outcome = OutcomeLate
 		}
 	}
 	e.met.taskFinished(onTime)
-	e.cfg.Observer.TaskFinished(now, head.task, e.assignment(coreIdx, head.pstate), onTime)
+	e.cfg.Observer.TaskFinished(now, head, e.assignment(coreIdx, ps), onTime)
 	if e.cfg.Trace {
-		e.res.Traces[head.task.ID].Finish = now
+		e.res.Traces[head.ID].Finish = now
 	}
 	if e.cfg.CancelOverdueWaiting {
-		for len(e.queues[coreIdx]) > 0 && e.queues[coreIdx][0].task.Deadline < now {
-			dropped := e.queues[coreIdx][0]
-			e.queues[coreIdx] = e.queues[coreIdx][1:]
+		for q.len() > 0 && q.snap[0].Deadline < now {
+			dropped := q.run[0].task.ID
+			q.popFront()
 			e.inSystem--
 			e.res.Cancelled++
 			e.met.taskCancelled()
 			if e.cfg.Trace {
-				e.res.Traces[dropped.task.ID].Outcome = OutcomeCancelled
+				e.res.Traces[dropped].Outcome = OutcomeCancelled
 			}
 		}
 	}
-	if len(e.queues[coreIdx]) > 0 {
+	if q.len() > 0 {
 		e.start(now, coreIdx)
 	} else {
 		e.setPState(now, coreIdx, e.cfg.IdlePState)
