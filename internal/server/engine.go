@@ -889,7 +889,21 @@ func (e *Engine) Submit(req TaskRequest) (Decision, error) {
 		ts.admittedC.Inc()
 	}
 	e.met.queueHigh.Observe(float64(len(e.admit)))
-	d := <-p.resp
+	var d Decision
+	select {
+	case d = <-p.resp:
+	case <-e.doneCh:
+		// The loop has exited. If its last sweep of the admit queue ran
+		// between the draining check above and the send, nobody else will
+		// answer p: sweep again as the exit path does, then read the reply,
+		// which is buffered by now whoever sent it.
+		if e.killed.Load() {
+			e.bouncePending()
+		} else {
+			e.abortPending()
+		}
+		d = <-p.resp
+	}
 	if d.Status == statusShardKilled {
 		// The shard fail-stopped with this request still queued-undecided.
 		// Nothing durable claims the task (admit records are written at
@@ -1033,10 +1047,15 @@ func (e *Engine) failStop() {
 		// drain flush: replay fails N tasks in a single step.
 		e.walAppend(&walRecord{K: wkFlush, T: at, Rsn: FailShardKilled, N: n})
 	}
-	// Queued-but-undecided requests have no admit record yet (walAdmit
-	// happens at decision time), so bouncing them is WAL-consistent: the
-	// durable stream never heard of them, and Submit unwinds the in-memory
-	// admission counts when it sees the sentinel.
+	e.bouncePending()
+}
+
+// bouncePending answers every queued request of a killed engine with the
+// shard-killed sentinel. Queued-but-undecided requests have no admit record
+// yet (walAdmit happens at decision time), so bouncing them is
+// WAL-consistent: the durable stream never heard of them, and Submit
+// unwinds the in-memory admission counts when it sees the sentinel.
+func (e *Engine) bouncePending() {
 	for {
 		select {
 		case p := <-e.admit:
@@ -1667,7 +1686,8 @@ func (e *Engine) fail(task workload.Task, reason string) {
 	}
 }
 
-// abortPending answers every queued request after an abrupt Close.
+// abortPending answers every queued request as timed out: after an abrupt
+// Close, at the end of a drain, and from a Submit that finds the loop gone.
 func (e *Engine) abortPending() {
 	for {
 		select {

@@ -413,6 +413,60 @@ func TestDrainNeverOrphans(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterLoopExitIsAnswered covers a Submit that passed the
+// draining check just before the engine loop's last sweep of the admit
+// queue: it must still be answered — timed out after a drain, bounced as
+// shard-down after a kill — with the admission accounting balanced. The
+// race is modelled by stopping the engine and then clearing draining, as
+// for a caller already past the check.
+func TestSubmitAfterLoopExitIsAnswered(t *testing.T) {
+	m := buildModel(t, 9)
+	for _, tc := range []struct {
+		name string
+		stop func(*Engine)
+		want func(Decision, error) bool
+	}{
+		{"drain", func(e *Engine) {
+			if err := e.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}, func(d Decision, err error) bool { return err == nil && d.Status == StatusTimedOut }},
+		{"kill", (*Engine).Kill, func(_ Decision, err error) bool {
+			rej, ok := err.(*ErrRejected)
+			return ok && rej.Reason == RejectShardDown
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _ := newTestEngine(t, m, nil)
+			submitType(t, eng, 0)
+			tc.stop(eng)
+			<-eng.doneCh
+			eng.draining.Store(false)
+			defer eng.draining.Store(true)
+			type reply struct {
+				d   Decision
+				err error
+			}
+			got := make(chan reply, 1)
+			go func() {
+				d, err := eng.Submit(TaskRequest{Type: 1})
+				got <- reply{d, err}
+			}()
+			select {
+			case r := <-got:
+				if !tc.want(r.d, r.err) {
+					t.Fatalf("late submit answered %+v, %v", r.d, r.err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a submit after the loop exited was never answered")
+			}
+			if st := eng.Stats(); st.Admitted != st.Mapped+st.Shed+st.TimedOut {
+				t.Fatalf("admission accounting broken: %+v", st)
+			}
+		})
+	}
+}
+
 func TestDrainGraceFailsStragglers(t *testing.T) {
 	m := buildModel(t, 10)
 	eng, _ := newTestEngine(t, m, func(c *Config) {

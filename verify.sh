@@ -101,6 +101,11 @@ if [ "$tier" -ge 2 ]; then
     # single lucky pass.
     echo "== tier 2: go test -race -count=2 (fault injection)"
     go test -race -count=2 ./internal/fault ./internal/sim ./internal/energy
+    # A Submit racing the end of a drain once waited forever for a reply;
+    # many race-enabled drains make that window likely, and the timeout
+    # turns a hang into a failure with a goroutine dump.
+    echo "== tier 2: go test -race -count=300 (drain never orphans)"
+    go test -race -run 'TestDrainNeverOrphans$' -count=300 -timeout 300s ./internal/server
     # The mutation property test again, with a 20x step budget: long
     # randomized enqueue/start/complete/requeue sequences against the
     # free-time engine, bit-compared to the uncached Grid* reference.
