@@ -1,12 +1,17 @@
 package server
 
-// Live fault injection for the serving engine, mirroring internal/sim's
-// mechanics: a failure kills whatever the stricken core is doing (the
-// energy is already spent), the run-generation counter invalidates its
-// pending completion event, and stranded tasks go through the recovery
-// policy. On top of the simulator's behavior the serving path feeds every
-// strike into the per-node circuit breakers, so mapping routes around
-// flapping nodes instead of rediscovering them the hard way.
+// Live fault injection for the serving engine. The fault decisions are
+// internal/fault's and shared with internal/sim: which victim a stochastic
+// strike hits (fault.PickVictim) and whether and when a stranded task is
+// retried (fault.Recovery.Retry). The mechanics that apply them are still
+// written here as well as in the simulator: a failure kills whatever the
+// stricken core is doing (the energy is already spent), the run-generation
+// counter invalidates its pending completion event, and stranded tasks go
+// through the recovery policy. What only the serving path does: every
+// transition is logged to the WAL before it mutates state, so replay
+// applies it without re-drawing, and every strike feeds the per-node
+// circuit breakers, so mapping routes around flapping nodes instead of
+// rediscovering them the hard way.
 
 import (
 	"repro/internal/cluster"
@@ -71,11 +76,11 @@ func (e *Engine) handleFault(now float64, src int) {
 	spec := &e.cfg.Faults
 	switch src {
 	case srcTransient:
-		if idx, ok := e.pickUpCore(); ok {
+		if idx, ok := fault.PickVictim(e.targetRng, e.down, false); ok {
 			e.injectFault(now, fault.Transient, idx, -1, spec.RepairTime)
 		}
 		e.nextTransient = 0
-		if !e.allNodesDead() {
+		if fault.CountEligible(e.alive, true) > 0 {
 			e.nextTransient = now + spec.Transient.Sample(e.transientRng)
 			e.push(event{time: e.nextTransient, kind: evFault, idx: srcTransient})
 		}
@@ -84,11 +89,11 @@ func (e *Engine) handleFault(now float64, src int) {
 				TRS: hexState(e.transientRng.State()), TGS: hexState(e.targetRng.State())})
 		}
 	case srcPermanent:
-		if node, ok := e.pickAliveNode(); ok {
+		if node, ok := fault.PickVictim(e.targetRng, e.alive, true); ok {
 			e.injectFault(now, fault.Permanent, -1, node, 0)
 		}
 		e.nextPermanent = 0
-		if !e.allNodesDead() {
+		if fault.CountEligible(e.alive, true) > 0 {
 			e.nextPermanent = now + spec.Permanent.Sample(e.permanentRng)
 			e.push(event{time: e.nextPermanent, kind: evFault, idx: srcPermanent})
 		}
@@ -102,73 +107,11 @@ func (e *Engine) handleFault(now float64, src int) {
 		if sf.Kind == fault.Permanent {
 			e.injectFault(now, fault.Permanent, -1, sf.Node, 0)
 		} else {
-			repair := sf.Repair
-			if repair <= 0 {
-				repair = spec.RepairTime
-			}
-			e.injectFault(now, fault.Transient, sf.Core, -1, repair)
+			e.injectFault(now, fault.Transient, sf.Core, -1, spec.ScriptedRepair(sf))
 		}
 		e.scriptFired[i] = true
 		e.walAppend(&walRecord{K: wkFsched, T: now, Src: "script", SI: i})
 	}
-}
-
-// pickUpCore selects a victim uniformly among up cores; no draw is
-// consumed when every core is already down.
-func (e *Engine) pickUpCore() (int, bool) {
-	up := 0
-	for _, d := range e.down {
-		if !d {
-			up++
-		}
-	}
-	if up == 0 {
-		return 0, false
-	}
-	n := e.targetRng.IntN(up)
-	for idx, d := range e.down {
-		if d {
-			continue
-		}
-		if n == 0 {
-			return idx, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-// pickAliveNode selects a victim uniformly among alive nodes.
-func (e *Engine) pickAliveNode() (int, bool) {
-	alive := 0
-	for _, d := range e.alive {
-		if d {
-			alive++
-		}
-	}
-	if alive == 0 {
-		return 0, false
-	}
-	n := e.targetRng.IntN(alive)
-	for node, up := range e.alive {
-		if !up {
-			continue
-		}
-		if n == 0 {
-			return node, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-func (e *Engine) allNodesDead() bool {
-	for _, up := range e.alive {
-		if up {
-			return false
-		}
-	}
-	return true
 }
 
 // injectFault applies one failure and feeds the circuit breaker. The fault
@@ -285,23 +228,11 @@ func (e *Engine) handleRepair(now float64, coreIdx int) {
 // (now, task, used): no randomness is consumed, which is what lets recovery
 // re-run it for dangling kills whose disposition was lost to a torn tail.
 func (e *Engine) recoverTask(now float64, task workload.Task, used int) {
-	rec := e.cfg.Faults.Recovery
-	if rec.Mode != fault.Requeue || used >= rec.MaxRetries {
+	delay, retry := e.cfg.Faults.Recovery.Retry(now, task.Deadline, used)
+	if !retry {
 		e.walFailRec(now, task.ID, FailFault)
 		e.fail(task, FailFault)
 		return
-	}
-	if rec.DeadlineAware && task.Deadline <= now {
-		// Already late: a retry can only burn energy on a missed deadline.
-		e.walFailRec(now, task.ID, FailFault)
-		e.fail(task, FailFault)
-		return
-	}
-	delay := rec.Backoff * float64(used+1)
-	if rec.DeadlineAware {
-		if slack := task.Deadline - now; delay > slack/2 {
-			delay = slack / 2
-		}
 	}
 	if e.fobs != nil {
 		e.fobs.TaskRequeued(now, task, used+1)

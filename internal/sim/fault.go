@@ -1,9 +1,9 @@
 package sim
 
-// Fault injection and brownout mechanics for both engines. Everything here
-// is gated on e.flt / e.bro being non-nil, so the paper's fault-free,
-// hard-halt configuration takes none of these paths and stays bit-identical
-// (enforced by test and benchmark).
+// Fault injection and brownout mechanics for the simulator's event loop.
+// Everything here is gated on e.flt / e.bro being non-nil, so the paper's
+// fault-free, hard-halt configuration takes none of these paths and stays
+// bit-identical (enforced by test and benchmark).
 //
 // A failure event kills whatever the stricken core is doing: the running
 // task's energy is already spent and cannot be refunded; the run generation
@@ -11,7 +11,9 @@ package sim
 // waiting tasks go to the recovery policy (drop, or requeue with bounded
 // retries through the full filter chain). A transiently-failed core draws
 // zero watts until its repair event; a permanently-failed node's cores
-// never come back.
+// never come back. Which victim a strike hits and whether a stranded task
+// is retried are internal/fault's decisions, shared with internal/server;
+// this file applies them.
 
 import (
 	"repro/internal/fault"
@@ -154,19 +156,19 @@ func (e *engine) handleFault(now float64, src int) {
 	f := e.flt
 	switch src {
 	case srcTransient:
-		if idx, ok := f.pickUpCore(); ok {
+		if idx, ok := fault.PickVictim(f.targetRng, f.down, false); ok {
 			e.injectFault(now, fault.Transient, idx, -1, f.spec.RepairTime)
 		}
 		// With every node permanently dead no core can ever be struck
 		// again; rescheduling would spin the loop forever.
-		if !f.allNodesDead() {
+		if fault.CountEligible(f.nodeDead, false) > 0 {
 			e.push(event{time: now + f.spec.Transient.Sample(f.transientRng), kind: evFault, idx: srcTransient})
 		}
 	case srcPermanent:
-		if node, ok := f.pickAliveNode(); ok {
+		if node, ok := fault.PickVictim(f.targetRng, f.nodeDead, false); ok {
 			e.injectFault(now, fault.Permanent, -1, node, 0)
 		}
-		if !f.allNodesDead() {
+		if fault.CountEligible(f.nodeDead, false) > 0 {
 			e.push(event{time: now + f.spec.Permanent.Sample(f.permanentRng), kind: evFault, idx: srcPermanent})
 		}
 	default:
@@ -174,71 +176,9 @@ func (e *engine) handleFault(now float64, src int) {
 		if sf.Kind == fault.Permanent {
 			e.injectFault(now, fault.Permanent, -1, sf.Node, 0)
 		} else {
-			repair := sf.Repair
-			if repair <= 0 {
-				repair = f.spec.RepairTime
-			}
-			e.injectFault(now, fault.Transient, sf.Core, -1, repair)
+			e.injectFault(now, fault.Transient, sf.Core, -1, f.spec.ScriptedRepair(sf))
 		}
 	}
-}
-
-// pickUpCore selects a victim uniformly among up cores. No draw is consumed
-// when every core is already down.
-func (f *faultRuntime) pickUpCore() (int, bool) {
-	up := 0
-	for _, d := range f.down {
-		if !d {
-			up++
-		}
-	}
-	if up == 0 {
-		return 0, false
-	}
-	n := f.targetRng.IntN(up)
-	for idx, d := range f.down {
-		if d {
-			continue
-		}
-		if n == 0 {
-			return idx, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-// pickAliveNode selects a victim uniformly among alive nodes.
-func (f *faultRuntime) pickAliveNode() (int, bool) {
-	alive := 0
-	for _, d := range f.nodeDead {
-		if !d {
-			alive++
-		}
-	}
-	if alive == 0 {
-		return 0, false
-	}
-	n := f.targetRng.IntN(alive)
-	for node, d := range f.nodeDead {
-		if d {
-			continue
-		}
-		if n == 0 {
-			return node, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-func (f *faultRuntime) allNodesDead() bool {
-	for _, d := range f.nodeDead {
-		if !d {
-			return false
-		}
-	}
-	return true
 }
 
 // injectFault applies one failure (transient: coreIdx; permanent: every
@@ -334,24 +274,13 @@ func (e *engine) handleRepair(now float64, coreIdx int) {
 // recoverTask routes one stranded task through the recovery policy: either
 // it is lost, or a requeue event is scheduled after the backoff.
 func (e *engine) recoverTask(now float64, task workload.Task) {
-	rec := e.flt.spec.Recovery
 	used := e.flt.attempts[task.ID]
-	if rec.Mode != fault.Requeue || used >= rec.MaxRetries {
-		e.loseTask(task)
-		return
-	}
-	if rec.DeadlineAware && task.Deadline <= now {
-		// Already late: a retry can only burn energy on a missed deadline.
+	delay, retry := e.flt.spec.Recovery.Retry(now, task.Deadline, used)
+	if !retry {
 		e.loseTask(task)
 		return
 	}
 	e.flt.attempts[task.ID] = used + 1
-	delay := rec.Backoff * float64(used+1)
-	if rec.DeadlineAware {
-		if slack := task.Deadline - now; delay > slack/2 {
-			delay = slack / 2
-		}
-	}
 	if e.fobs != nil {
 		e.fobs.TaskRequeued(now, task, used+1)
 	}

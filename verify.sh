@@ -101,6 +101,13 @@ if [ "$tier" -ge 2 ]; then
     # single lucky pass.
     echo "== tier 2: go test -race -count=2 (fault injection)"
     go test -race -count=2 ./internal/fault ./internal/sim ./internal/energy
+    # The server fault pins: a stochastic-fault engine fed through
+    # Submit/Sync across the engine goroutine, and the scripted durable
+    # scenario's WAL and checkpoint bytes. Each digest must hold on every
+    # race-enabled pass, not on one lucky interleaving.
+    echo "== tier 2: go test -race -count=20 (server fault and durable-bytes pins)"
+    go test -race -run 'TestGoldenServerFaults$' -count=20 .
+    go test -race -run 'TestGoldenDurableBytes$' -count=20 ./internal/server
     # A Submit racing the end of a drain once waited forever for a reply;
     # many race-enabled drains make that window likely, and the timeout
     # turns a hang into a failure with a goroutine dump.
