@@ -117,28 +117,28 @@ func prefixSums(prob []float64) []float64 {
 }
 
 // IsZero reports whether the lattice has no impulses.
-func (l Lattice) IsZero() bool { return len(l.idx) == 0 }
+func (l *Lattice) IsZero() bool { return len(l.idx) == 0 }
 
 // Len returns the number of impulses.
-func (l Lattice) Len() int { return len(l.idx) }
+func (l *Lattice) Len() int { return len(l.idx) }
 
 // Step returns the lattice step.
-func (l Lattice) Step() float64 { return l.step }
+func (l *Lattice) Step() float64 { return l.step }
 
 // Origin returns the lattice origin (the value of bin index 0).
-func (l Lattice) Origin() float64 { return l.origin }
+func (l *Lattice) Origin() float64 { return l.origin }
 
 // Value returns the value of the k-th impulse.
-func (l Lattice) Value(k int) float64 { return l.origin + float64(l.idx[k])*l.step }
+func (l *Lattice) Value(k int) float64 { return l.origin + float64(l.idx[k])*l.step }
 
 // Prob returns the mass of the k-th impulse.
-func (l Lattice) Prob(k int) float64 { return l.prob[k] }
+func (l *Lattice) Prob(k int) float64 { return l.prob[k] }
 
 // Min returns the smallest support value. Panics on the zero Lattice.
-func (l Lattice) Min() float64 { return l.Value(0) }
+func (l *Lattice) Min() float64 { return l.Value(0) }
 
 // Mean returns the expectation.
-func (l Lattice) Mean() float64 {
+func (l *Lattice) Mean() float64 {
 	if l.IsZero() {
 		return math.NaN()
 	}
@@ -150,7 +150,7 @@ func (l Lattice) Mean() float64 {
 }
 
 // TotalMass returns the sum of the impulse masses.
-func (l Lattice) TotalMass() float64 {
+func (l *Lattice) TotalMass() float64 {
 	if l.IsZero() {
 		return 0
 	}
@@ -181,13 +181,27 @@ func (l *Lattice) SearchValue(t float64) int {
 	return lo
 }
 
+// IsCut reports whether cut == SearchValue(t) without searching: the
+// impulse before cut must fail SearchValue's predicate (value >= t) and the
+// one at cut must meet it, where cut == 0 and cut == Len() need only the
+// side that exists. A NaN t fails the predicate everywhere, as in the
+// search. A caller that cached the cut of an earlier query checks it here
+// first and searches only when t has crossed an impulse, in either
+// direction — so a clock that steps back still gets the searched cut.
+func (l *Lattice) IsCut(cut int, t float64) bool {
+	if cut < 0 || cut > len(l.idx) {
+		return false
+	}
+	return (cut == 0 || !(l.Value(cut-1) >= t)) && (cut == len(l.idx) || l.Value(cut) >= t)
+}
+
 // TruncateAt removes the first cut impulses and renormalizes the remainder,
 // returning the truncated lattice and the mass that survived (before
 // renormalization) — the grid form of PMF.TruncateBelow, keyed by the cut
 // index so equal cuts yield bit-identical results. cut == Len() (or a
 // remainder with no mass) returns the zero Lattice and kept == 0; the caller
 // owns the degenerate-head fallback.
-func (l Lattice) TruncateAt(cut int) (Lattice, float64) {
+func (l *Lattice) TruncateAt(cut int) (Lattice, float64) {
 	return l.TruncateInto(cut, &LatticeScratch{})
 }
 
@@ -240,7 +254,7 @@ func (l *Lattice) TruncateInto(cut int, s *LatticeScratch) (Lattice, float64) {
 // building the truncated lattice: bit-identical to TruncateAt(cut) followed
 // by Mean, and allocation-free. A cut that keeps no mass returns NaN (the
 // zero Lattice's mean) and kept == 0.
-func (l Lattice) TruncatedMean(cut int) (mean, kept float64) {
+func (l *Lattice) TruncatedMean(cut int) (mean, kept float64) {
 	if cut <= 0 {
 		return l.Mean(), 1
 	}
@@ -263,7 +277,7 @@ func (l Lattice) TruncatedMean(cut int) (mean, kept float64) {
 }
 
 // PMF materializes the lattice as a sparse PMF with values origin + idx·step.
-func (l Lattice) PMF() PMF {
+func (l *Lattice) PMF() PMF {
 	if l.IsZero() {
 		return PMF{}
 	}
@@ -278,7 +292,7 @@ func (l Lattice) PMF() PMF {
 
 // Grid materializes the lattice densely, anchoring the grid origin at the
 // first impulse.
-func (l Lattice) Grid() Grid {
+func (l *Lattice) Grid() Grid {
 	if l.IsZero() {
 		return Grid{}
 	}
@@ -307,7 +321,8 @@ func newGrid(origin, step float64, probs []float64) Grid {
 
 // ToGrid snaps p onto a dense grid of the given step (ToLattice then Grid).
 func ToGrid(p PMF, step float64) Grid {
-	return ToLattice(p, step).Grid()
+	l := ToLattice(p, step)
+	return l.Grid()
 }
 
 // IdentityGrid is the convolution identity on a lattice of the given step:
@@ -318,20 +333,20 @@ func IdentityGrid(step float64) Grid {
 }
 
 // IsZero reports whether the grid has no bins.
-func (g Grid) IsZero() bool { return len(g.probs) == 0 }
+func (g *Grid) IsZero() bool { return len(g.probs) == 0 }
 
 // Len returns the number of bins (including empty ones).
 func (g Grid) Len() int { return len(g.probs) }
 
 // Step returns the lattice step.
-func (g Grid) Step() float64 { return g.step }
+func (g *Grid) Step() float64 { return g.step }
 
 // Origin returns the value of bin 0.
-func (g Grid) Origin() float64 { return g.origin }
+func (g *Grid) Origin() float64 { return g.origin }
 
 // MinValue returns the value of the first non-empty bin. Panics on the zero
 // Grid.
-func (g Grid) MinValue() float64 {
+func (g *Grid) MinValue() float64 {
 	for i, p := range g.probs {
 		if p != 0 {
 			return g.origin + float64(i)*g.step
@@ -341,7 +356,7 @@ func (g Grid) MinValue() float64 {
 }
 
 // TotalMass returns the sum of bin masses.
-func (g Grid) TotalMass() float64 {
+func (g *Grid) TotalMass() float64 {
 	if g.IsZero() {
 		return 0
 	}
@@ -349,7 +364,7 @@ func (g Grid) TotalMass() float64 {
 }
 
 // Mean returns the expectation.
-func (g Grid) Mean() float64 {
+func (g *Grid) Mean() float64 {
 	if g.IsZero() {
 		return math.NaN()
 	}
@@ -364,7 +379,7 @@ func (g Grid) Mean() float64 {
 
 // CDFIndex returns the cumulative mass through bin t, clamped: negative t
 // yields 0, t past the last bin yields the total mass.
-func (g Grid) CDFIndex(t int) float64 {
+func (g *Grid) CDFIndex(t int) float64 {
 	if t < 0 || g.IsZero() {
 		return 0
 	}
@@ -375,7 +390,7 @@ func (g Grid) CDFIndex(t int) float64 {
 }
 
 // CDF returns P(X <= x): the prefix sum through bin floor((x-origin)/step).
-func (g Grid) CDF(x float64) float64 {
+func (g *Grid) CDF(x float64) float64 {
 	if g.IsZero() {
 		return 0
 	}
@@ -451,7 +466,7 @@ type GridScratch struct{ probs, cum []float64 }
 // bit-identical bins and prefix sums. The returned Grid aliases the
 // scratch and is valid only until the next ConvolveLatticeInto call with
 // the same scratch; use ConvolveLattice when the result must be immutable.
-func (g Grid) ConvolveLatticeInto(l Lattice, s *GridScratch) Grid {
+func (g *Grid) ConvolveLatticeInto(l Lattice, s *GridScratch) Grid {
 	if g.IsZero() || l.IsZero() {
 		panic("pmf: ConvolveLatticeInto on zero operand")
 	}

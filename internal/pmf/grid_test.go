@@ -410,3 +410,53 @@ func FuzzGridRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestLatticeIsCutMatchesSearchValue: for every probe t and every cut in
+// -1…Len()+1, IsCut(cut, t) must hold exactly when cut == SearchValue(t).
+// Probes sit on every impulse value, one ulp to either side of it, at the
+// midpoints, beyond both ends and at the infinities and NaN, and are
+// visited forward, backward and shuffled, the orders a clock that steps
+// forward, steps back or jumps would query a cached cut in.
+func TestLatticeIsCutMatchesSearchValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	check := func(trial int, l *Lattice) {
+		var probes []float64
+		for k := 0; k < l.Len(); k++ {
+			v := l.Value(k)
+			probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+			if k > 0 {
+				probes = append(probes, (l.Value(k-1)+v)/2)
+			}
+		}
+		lo, hi := l.Origin()-1, l.Origin()+1
+		if l.Len() > 0 {
+			lo, hi = l.Min()-l.Step(), l.Value(l.Len()-1)+l.Step()
+		}
+		probes = append(probes, lo, hi, math.Inf(-1), math.Inf(1), math.NaN())
+		forward := append([]float64(nil), probes...)
+		sort.Float64s(forward)
+		backward := make([]float64, len(forward))
+		for i, v := range forward {
+			backward[len(forward)-1-i] = v
+		}
+		shuffled := append([]float64(nil), forward...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, order := range [][]float64{forward, backward, shuffled} {
+			for _, v := range order {
+				want := l.SearchValue(v)
+				for cut := -1; cut <= l.Len()+1; cut++ {
+					if got := l.IsCut(cut, v); got != (cut == want) {
+						t.Fatalf("trial %d t=%v cut %d: IsCut %v, SearchValue %d", trial, v, cut, got, want)
+					}
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		l := ToLattice(randPMF(rng, 1+rng.Intn(20), 50), 0.25+rng.Float64()).Shift(1000 * rng.Float64())
+		check(trial, &l)
+	}
+	check(-1, &Lattice{})
+	point := PointLattice(17.5, 0.5)
+	check(-2, &point)
+}

@@ -78,7 +78,8 @@ type coreChain struct {
 	// the ρ path into headScratch, so the cut drifting with now recycles
 	// the same backing arrays. headMean is the mean of baseL truncated at
 	// headMeanCut, which FreeMean reads without building the truncated
-	// lattice.
+	// lattice, and freeMean is FreeMean's whole answer for that head with
+	// freeMeanLen tasks queued (0: not yet summed for this head entry).
 	baseL    pmf.Lattice
 	baseLVer uint64
 	baseLOK  bool
@@ -93,6 +94,8 @@ type coreChain struct {
 	headMeanCut int
 	headMeanVer uint64
 	headMeanOK  bool
+	freeMean    float64
+	freeMeanLen int
 
 	// tail is the dense product of the waiting tasks' execution lattices —
 	// the now-independent part of the chain that lattice associativity
@@ -233,16 +236,27 @@ func (e *FreeTimeEngine) OnEnqueue(coreIdx, node, taskType int, ps cluster.PStat
 }
 
 // FreeMean returns E[free time] by linearity, bit-identical to
-// Calculator.GridFreeMean: the (truncated) head lattice mean — cached per
-// (version, cut), and computed without building the truncated lattice —
-// plus the lattice means of the waiting tasks. It allocates nothing.
+// Calculator.GridFreeMean: the (truncated) head lattice mean — computed
+// without building the truncated lattice — plus the lattice means of the
+// waiting tasks. With a started head the sum is cached per (version, queue
+// length, cut): a hit is the same expression on the same inputs, so it is
+// bit-identical, and it costs one cut check instead of the head's truncated
+// mean and a pass over the tail. Unstarted, fully overdue and empty heads
+// depend on the raw now and are summed per query. It allocates nothing.
 func (e *FreeTimeEngine) FreeMean(coreIdx int, q CoreQueue, now float64) float64 {
 	if len(q.Tasks) == 0 {
 		return now
 	}
-	mean := e.headMeanAt(&e.cores[coreIdx], q, now)
+	c := &e.cores[coreIdx]
+	mean, cached := e.headMeanAt(c, q, now)
+	if cached && c.freeMeanLen == len(q.Tasks) {
+		return c.freeMean
+	}
 	for _, t := range q.Tasks[1:] {
 		mean += e.calc.model.ExecLattice(t.Type, q.Node, t.PState).Mean
+	}
+	if cached {
+		c.freeMean, c.freeMeanLen = mean, len(q.Tasks)
 	}
 	return mean
 }
@@ -367,10 +381,10 @@ func (e *FreeTimeEngine) latticeHead(c *coreChain, q CoreQueue, now float64) (pm
 		return e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState).Lat.Shift(now), -1
 	}
 	base := e.baseLattice(c, q)
-	cut := base.SearchValue(now)
-	if c.headLOK && c.headLVer == c.ver && c.headLCut == cut {
-		return c.headL, cut
+	if c.headLOK && c.headLVer == c.ver && base.IsCut(c.headLCut, now) {
+		return c.headL, c.headLCut
 	}
+	cut := base.SearchValue(now)
 	trunc, kept := base.TruncateInto(cut, &c.headScratch)
 	if kept <= 0 {
 		// All remaining mass is overdue: the same degenerate point the
@@ -386,23 +400,27 @@ func (e *FreeTimeEngine) latticeHead(c *coreChain, q CoreQueue, now float64) (pm
 // headMeanAt is the mean of the head stage latticeHead derives, without
 // materializing a truncated lattice: pmf.Lattice.TruncatedMean is
 // bit-identical to TruncateAt followed by Mean. A started head's mean is
-// cached per (version, cut); the uncacheable heads are derived per query.
-func (e *FreeTimeEngine) headMeanAt(c *coreChain, q CoreQueue, now float64) float64 {
+// cached per (version, cut), and the cached cut is checked before any
+// search; ok reports that the returned mean is that cache entry's. The
+// uncacheable heads are derived per query with ok == false.
+func (e *FreeTimeEngine) headMeanAt(c *coreChain, q CoreQueue, now float64) (mean float64, ok bool) {
 	t0 := q.Tasks[0]
 	if !t0.Started {
-		return e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState).Lat.Shift(now).Mean()
+		head := e.calc.model.ExecLattice(t0.Type, q.Node, t0.PState).Lat.Shift(now)
+		return head.Mean(), false
 	}
 	base := e.baseLattice(c, q)
-	cut := base.SearchValue(now)
-	if c.headMeanOK && c.headMeanVer == c.ver && c.headMeanCut == cut {
-		return c.headMean
+	if c.headMeanOK && c.headMeanVer == c.ver && base.IsCut(c.headMeanCut, now) {
+		return c.headMean, true
 	}
+	cut := base.SearchValue(now)
 	mean, kept := base.TruncatedMean(cut)
 	if kept <= 0 {
-		return now // the degenerate point at now
+		return now, false // the degenerate point at now
 	}
 	c.headMean, c.headMeanCut, c.headMeanVer, c.headMeanOK = mean, cut, c.ver, true
-	return mean
+	c.freeMeanLen = 0
+	return mean, true
 }
 
 // baseLattice returns the started head's execution lattice shifted by its

@@ -1,6 +1,7 @@
 package robustness
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -246,5 +247,121 @@ func TestGridEngineCounters(t *testing.T) {
 	eng.Flush()
 	if fMisses.Value() != 1 {
 		t.Fatalf("post-invalidate ρ: free misses = %d, want 1", fMisses.Value())
+	}
+}
+
+// TestFreeTimeEngineReuseMatchesNaive drives the queue mutations of
+// TestFreeTimeEngineGridMatchesNaiveUnderMutation with a clock that also
+// steps backward and lands exactly on the running head's impulses
+// (StartAt + Value(k), as the engine's shifted lattice computes it) — the
+// probes where a cached cut, a cached head mean and the cached free-time
+// sum are most likely to be reused when they must not be. After every
+// step FreeMean, FreeTime and ProbOnTime must be bit-equal to the
+// Calculator's Grid* reference on a first query and on an immediate
+// repeat, which the caches answer; the three are queried in a random
+// order so each cache is also read right after the others were filled.
+func TestFreeTimeEngineReuseMatchesNaive(t *testing.T) {
+	for _, seed := range []uint64{7, 9090, 314159} {
+		m := buildModel(t, seed)
+		calc := NewCalculator(m)
+		eng := NewFreeTimeEngine(calc, 1)
+		rng := randx.NewStream(seed * 31)
+		steps := propSteps(t, 500)
+		node := rng.IntN(m.Cluster.N())
+		tavg := m.TAvg()
+		types := m.Params.TaskTypes
+		randTask := func(deadline float64) QueuedTask {
+			return QueuedTask{
+				Type:     rng.IntN(types),
+				PState:   cluster.PState(rng.IntN(cluster.NumPStates)),
+				Deadline: deadline,
+			}
+		}
+
+		var tasks []QueuedTask
+		now := 0.0
+		for step := 0; step < steps; step++ {
+			switch op := rng.IntN(100); {
+			case op < 35: // enqueue at the tail: same version, one more task
+				qt := randTask(now + tavg*(0.5+2*rng.Float64()))
+				tasks = append(tasks, qt)
+				if len(tasks) == 1 {
+					tasks[0].Started = true
+					tasks[0].StartAt = now
+					eng.Invalidate(0)
+				}
+				eng.OnEnqueue(0, node, qt.Type, qt.PState, len(tasks))
+			case op < 50: // complete the head; the next task starts
+				if len(tasks) == 0 {
+					continue
+				}
+				tasks = tasks[1:]
+				if len(tasks) > 0 {
+					tasks[0].Started = true
+					tasks[0].StartAt = now
+				}
+				eng.Invalidate(0)
+			case op < 56: // cancel a waiting task mid-queue
+				if len(tasks) < 2 {
+					continue
+				}
+				i := 1 + rng.IntN(len(tasks)-1)
+				tasks = append(tasks[:i], tasks[i+1:]...)
+				eng.Invalidate(0)
+			case op < 61: // fault: the core sheds its queue
+				tasks = nil
+				eng.Invalidate(0)
+			case op < 66: // repaired core receives unstarted work
+				if len(tasks) != 0 {
+					continue
+				}
+				tasks = append(tasks, randTask(now+tavg))
+				eng.Invalidate(0)
+			case op < 76: // time advances a little (the cut may drift)
+				now += tavg * 0.3 * rng.Float64()
+			case op < 80: // time leaps (the head may become fully overdue)
+				now += tavg * (1 + 3*rng.Float64())
+			case op < 90: // time steps back (the cut may move down)
+				now -= tavg * 0.3 * rng.Float64()
+			default: // time lands exactly on one of the head's impulses
+				if len(tasks) == 0 || !tasks[0].Started {
+					continue
+				}
+				h := tasks[0]
+				base := m.ExecLattice(h.Type, node, h.PState).Lat.Shift(h.StartAt)
+				now = base.Value(rng.IntN(base.Len()))
+			}
+			if rng.IntN(4) == 0 {
+				continue // coalesced updates must survive too
+			}
+			q := CoreQueue{Node: node, Tasks: append([]QueuedTask(nil), tasks...)}
+			ct := rng.IntN(types)
+			cp := cluster.PState(rng.IntN(cluster.NumPStates))
+			cd := now + tavg*(0.5+2*rng.Float64())
+			wantMean := calc.GridFreeMean(q, now)
+			wantFree := calc.GridFreeTime(q, now)
+			wantRho := calc.GridProbOnTime(q, now, ct, cp, cd)
+			order := [3]int{0, 1, 2}
+			for i := 2; i > 0; i-- {
+				j := rng.IntN(i + 1)
+				order[i], order[j] = order[j], order[i]
+			}
+			for pass := 0; pass < 2; pass++ { // first query, then a repeat
+				for _, which := range order {
+					switch which {
+					case 0:
+						if got := eng.FreeMean(0, q, now); math.Float64bits(got) != math.Float64bits(wantMean) {
+							t.Fatalf("seed %d step %d pass %d: FreeMean %v, want %v", seed, step, pass, got, wantMean)
+						}
+					case 1:
+						assertBitIdentical(t, step, eng.FreeTime(0, q, now), wantFree)
+					case 2:
+						if got := eng.ProbOnTime(0, q, now, ct, cp, cd, nil); math.Float64bits(got) != math.Float64bits(wantRho) {
+							t.Fatalf("seed %d step %d pass %d: ProbOnTime %v, want %v", seed, step, pass, got, wantRho)
+						}
+					}
+				}
+			}
+		}
 	}
 }

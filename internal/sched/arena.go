@@ -16,6 +16,12 @@ import (
 // engines consume the chosen candidate (Predict, enqueue) before the next
 // decision, which is exactly that contract. Not safe for concurrent use;
 // each engine owns one arena, matching its single-goroutine event loop.
+//
+// The Candidate structs are persistent slots: a slot that addresses the
+// same core and P-state as in the previous decision keeps its assignment,
+// core ID included, which BuildCandidates then reads back instead of
+// asking the view. An arena therefore serves one cluster — every view it
+// is used with must map each flat core index to the same CoreID.
 type Arena struct {
 	cands  []Candidate
 	ptrs   []*Candidate

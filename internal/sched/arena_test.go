@@ -212,3 +212,86 @@ func TestArenaAllocsAsCutMovesRho(t *testing.T) {
 		t.Fatal("no kernel ρ evaluation was published")
 	}
 }
+
+// TestArenaSlotsMatchFreshAcrossLayouts: one arena serves rounds whose
+// candidate layout shifts — all cores up, core 2 down, a P2 floor, back
+// to P0, then a changed queue on core 0 — so persistent slots are reused
+// where the layout repeats and rewritten where it shifted. Every round
+// must match a fresh no-arena enumeration field by field and pick the
+// same assignment under both a ρ-reading and a mean-reading policy.
+func TestArenaSlotsMatchFreshAcrossLayouts(t *testing.T) {
+	f := newFixture(t, 14)
+	f.view.push(0, robustness.QueuedTask{Type: 1, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 50})
+	f.view.push(0, robustness.QueuedTask{Type: 3, PState: cluster.P1, Deadline: 1e9})
+	f.view.push(3, robustness.QueuedTask{Type: 0, PState: cluster.P2, Deadline: 1e9, Started: true, StartAt: 70})
+
+	type layout struct {
+		name    string
+		coreUp  func(int) bool
+		floor   cluster.PState
+		enqueue bool
+	}
+	layouts := []layout{
+		{name: "all up"},
+		{name: "core 2 down", coreUp: func(idx int) bool { return idx != 2 }},
+		{name: "floor P2", floor: cluster.P2},
+		{name: "floor P0", floor: cluster.P0},
+		{name: "core 0 queue changed", enqueue: true},
+	}
+	mappers := []*Mapper{
+		{Heuristic: LightestLoad{}, Filters: EnergyAndRobustness.Filters()},
+		{Heuristic: MinExpectedCompletionTime{}, Filters: NoFilter.Filters()},
+	}
+	arena := NewArena()
+	eng := robustness.NewFreeTimeEngine(f.calc, f.view.NumCores())
+	chosen := 0
+	for round := 0; round < 3*len(layouts); round++ {
+		l := layouts[round%len(layouts)]
+		if l.enqueue {
+			f.view.push(0, robustness.QueuedTask{Type: round % 6, PState: cluster.P3, Deadline: 1e9})
+			eng.Invalidate(0)
+		}
+		now := f.task.Arrival + float64(round)*0.1*f.model.TAvg()
+		mkCtx := func(a *Arena, ft *robustness.FreeTimeEngine) *Context {
+			ctx := f.ctx()
+			ctx.Now = now
+			ctx.Task.Deadline = now + 3*f.model.TAvg()
+			ctx.CoreUp = l.coreUp
+			ctx.PStateFloor = l.floor
+			ctx.FreeTimes = ft
+			ctx.Arena = a
+			return ctx
+		}
+		fresh := mkCtx(nil, robustness.NewFreeTimeEngine(f.calc, f.view.NumCores()))
+		reused := mkCtx(arena, eng)
+		want := BuildCandidates(fresh, f.view)
+		got := BuildCandidates(reused, f.view)
+		if len(got) != len(want) {
+			t.Fatalf("round %d (%s): %d candidates, want %d", round, l.name, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Core != w.Core || g.CoreIdx != w.CoreIdx || g.PState != w.PState || g.QueueLen != w.QueueLen {
+				t.Fatalf("round %d (%s) cand %d: (%v,%d,%v,%d), want (%v,%d,%v,%d)", round, l.name, i,
+					g.Core, g.CoreIdx, g.PState, g.QueueLen, w.Core, w.CoreIdx, w.PState, w.QueueLen)
+			}
+			if g.EET != w.EET || g.EEC != w.EEC || g.ECT() != w.ECT() || g.Rho() != w.Rho() {
+				t.Fatalf("round %d (%s) cand %d: EET/EEC/ECT/ρ (%v,%v,%v,%v), want (%v,%v,%v,%v)",
+					round, l.name, i, g.EET, g.EEC, g.ECT(), g.Rho(), w.EET, w.EEC, w.ECT(), w.Rho())
+			}
+		}
+		for _, m := range mappers {
+			wc := m.Map(fresh, BuildCandidates(fresh, f.view))
+			gc := m.Map(reused, BuildCandidates(reused, f.view))
+			if (wc == nil) != (gc == nil) || wc != nil && (gc.CoreIdx != wc.CoreIdx || gc.PState != wc.PState) {
+				t.Fatalf("round %d (%s) %s: arena chose %v, fresh chose %v", round, l.name, m.Name(), gc, wc)
+			}
+			if gc != nil {
+				chosen++
+			}
+		}
+	}
+	if chosen < len(layouts) {
+		t.Fatalf("only %d decisions chose an assignment; the comparison is vacuous", chosen)
+	}
+}

@@ -190,6 +190,12 @@ type SystemView interface {
 // the node's cores. Everything else a policy may read — the expected free
 // time behind ECT, the free-time distribution, ρ — is derived on first use
 // from the core's queue snapshot, which the candidates of one core share.
+//
+// With an arena, a candidate slot that already addresses the same core and
+// P-state as in the previous decision keeps its assignment: only QueueLen,
+// EET, EEC and the ρ memo are written, and the core's ID is read back from
+// the slot instead of the view. Slots shifted by a down core or a changed
+// P-state floor fail that check and are rewritten in full.
 func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 	n := view.NumCores()
 	arena := ctx.Arena
@@ -216,7 +222,22 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 		if ctx.CoreUp != nil && !ctx.CoreUp(idx) {
 			continue
 		}
-		id := view.CoreID(idx)
+		var share *coreShare
+		if arena != nil {
+			share = &arena.shares[idx]
+		} else {
+			share = new(coreShare)
+		}
+		share.reset(dec, idx, view.Queue(idx))
+		// The core's first slot tells whether its assignment survives from
+		// the previous decision; the share is per core, so a slot pointing
+		// at it already holds this core's ID.
+		var id cluster.CoreID
+		if arena != nil && arena.cands[len(cands)].share == share {
+			id = arena.cands[len(cands)].Core
+		} else {
+			id = view.CoreID(idx)
+		}
 		if id.Node != rowNode {
 			rowNode = id.Node
 			node := ctx.Model.Cluster.Node(id)
@@ -226,14 +247,6 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 				row[ps].eec = energy.ExpectedEnergy(node, ps, eet)
 			}
 		}
-
-		var share *coreShare
-		if arena != nil {
-			share = &arena.shares[idx]
-		} else {
-			share = new(coreShare)
-		}
-		share.reset(dec, idx, view.Queue(idx))
 		for ps := floor; ps < cluster.NumPStates; ps++ {
 			var c *Candidate
 			if arena != nil {
@@ -243,15 +256,16 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 			}
 			// Field-wise assignment instead of struct literals: a literal
 			// builds a stack temporary and copies it, which is measurable
-			// at 300 candidates per decision, and with an arena every
-			// field must be overwritten anyway.
-			c.Core = id
-			c.CoreIdx = idx
-			c.PState = ps
+			// at 300 candidates per decision.
+			if c.share != share || c.PState != ps {
+				c.Core = id
+				c.CoreIdx = idx
+				c.PState = ps
+				c.share = share
+			}
 			c.QueueLen = len(share.q.Tasks)
 			c.EET = row[ps].eet
 			c.EEC = row[ps].eec
-			c.share = share
 			c.rho = -1
 			cands = append(cands, c)
 		}

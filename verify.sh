@@ -59,6 +59,20 @@ go test -race -run 'FreeTimeEngine|ExactRho' ./internal/robustness
 # leaks across goroutines fails here.
 echo "== tier 1: go test -race (counter publication pin)"
 go test -race -run 'TestGolden(Concurrent|Server)Counters$' .
+# The examples are the first programs a reader runs: build and run each
+# one (every one finishes in under a second on 2 cores), so an example
+# that stops working fails here rather than only compiling.
+echo "== tier 1: run examples/*"
+extmp="$(mktemp -d)"
+go build -o "$extmp" ./examples/...
+for ex in "$extmp"/*; do
+    "$ex" >/dev/null || {
+        echo "verify: example $(basename "$ex") exited non-zero" >&2
+        rm -rf "$extmp"
+        exit 1
+    }
+done
+rm -rf "$extmp"
 # The tracked size number (ROADMAP aim 2): non-test Go lines outside
 # benchmark/. A PR that grows it should be able to say what for.
 echo "== tier 1: non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -exec cat {} + | wc -l)"
@@ -113,11 +127,12 @@ if [ "$tier" -ge 2 ]; then
     # turns a hang into a failure with a goroutine dump.
     echo "== tier 2: go test -race -count=300 (drain never orphans)"
     go test -race -run 'TestDrainNeverOrphans$' -count=300 -timeout 300s ./internal/server
-    # The mutation property test again, with a 20x step budget: long
-    # randomized enqueue/start/complete/requeue sequences against the
+    # The mutation and reuse property tests again, with a 20x step budget:
+    # long randomized enqueue/start/complete/requeue sequences, with a
+    # clock that also steps back and lands on head impulses, against the
     # free-time engine, bit-compared to the uncached Grid* reference.
-    echo "== tier 2: go test (free-time property, 10k steps)"
-    FREETIME_PROP_STEPS=10000 go test -run FreeTimeEngineGridMatchesNaive -count=1 ./internal/robustness
+    echo "== tier 2: go test (free-time properties, 10k steps)"
+    FREETIME_PROP_STEPS=10000 go test -run 'FreeTimeEngine(GridMatchesNaive|ReuseMatchesNaive)' -count=1 ./internal/robustness
     # Grid quantization contract, race-enabled with a raised trial budget:
     # random operand chains must keep the lattice CDF inside the exact
     # chain's q·step/2 bracket, and the engine must stay bit-identical to
