@@ -38,7 +38,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			w.append(&r)
 		}
 		b.StopTimer()
-		if err := w.commit(); err != nil {
+		if _, err := w.commit(); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -50,7 +50,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			r := rec
 			r.ID = i
 			w.append(&r)
-			if err := w.commit(); err != nil {
+			if _, err := w.commit(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,7 +29,10 @@ type serverMetrics struct {
 	retries      *metrics.Counter
 	breakerOpens *metrics.Counter
 
-	walRecords        *metrics.Counter
+	walRecords *metrics.Counter
+	// walCommits counts the engine's WAL fsyncs: commits that had records
+	// to flush and sync. A commit with nothing staged is not counted, and
+	// neither are the header's and the close's fsyncs.
 	walCommits        *metrics.Counter
 	walErrors         *metrics.Counter
 	checkpoints       *metrics.Counter

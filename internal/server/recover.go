@@ -22,6 +22,12 @@ package server
 //     mirrored schedule, repairs from repairAt, requeues from their fire
 //     times), in a fixed order with the tie-break sequence reset.
 //
+// Replay streams the WAL: after the header's identity check and the
+// checkpoint restore, each suffix record is applied as it is decoded, so
+// recovery holds one record at a time whatever the log's length. A
+// corrupt line before the final one therefore fails recovery after part
+// of the suffix was applied; a failed engine is discarded, never started.
+//
 // Recovery rotates the WAL: the recovered engine writes incarnation n+1 and
 // a fresh checkpoint naming it. Until that checkpoint's atomic rename
 // lands, the old checkpoint still points at the old, untouched WAL — a
@@ -81,6 +87,7 @@ type openAdmit struct {
 
 // replayState is the transient bookkeeping of one replay pass.
 type replayState struct {
+	n              int     // suffix records applied
 	lastMT, lastEN float64 // meter coordinates of the last engine record
 	vt             float64 // highest virtual time seen
 	budget         float64 // last adjusted budget (0 = never adjusted)
@@ -153,24 +160,17 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 		}
 	}
 	rep := &RecoveryReport{FromCheckpoint: ck != nil, CheckpointRecords: cut}
-	var recs []walRecord
+	var wr *walReader
 	if _, statErr := os.Stat(walPath(e.cfg.WALPath, oldInc)); statErr == nil || ck == nil {
-		hdr, rr, torn, tornOff, err := readWAL(e.cfg.WALPath, oldInc)
-		if err != nil {
+		var err error
+		if wr, err = openWAL(e.cfg.WALPath, oldInc); err != nil {
 			return nil, err
 		}
-		if err := e.checkIdentity(hdr.ModelHash, hdr.Seed, hdr.Policy, walPath(e.cfg.WALPath, oldInc)); err != nil {
+		defer wr.f.Close()
+		if err := e.checkIdentity(wr.hdr.ModelHash, wr.hdr.Seed, wr.hdr.Policy, wr.path); err != nil {
 			return nil, err
-		}
-		recs, rep.TornTail, rep.TornOffset = rr, torn, tornOff
-		if torn {
-			fmt.Fprintf(os.Stderr, "server: wal %s: dropped torn final line at byte offset %d (crash mid-append)\n",
-				walPath(e.cfg.WALPath, oldInc), tornOff)
 		}
 	}
-	// A checkpoint cut past the durable record count is legal: the cut was
-	// taken under the append mutex and may include staged reject records the
-	// crash then lost — their counts are inside the checkpoint already.
 
 	if ck != nil {
 		if err := e.restoreCheckpoint(ck); err != nil {
@@ -187,16 +187,36 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 	}
 	e.needSchedule = false
 
-	var suffix []walRecord
-	if uint64(len(recs)) > cut {
-		suffix = recs[cut:]
+	// Stream the suffix: skip the cut records the checkpoint already holds,
+	// apply each later one as it is decoded. A checkpoint cut past the
+	// durable record count is legal — the cut was taken under the append
+	// mutex and may include staged reject records the crash then lost;
+	// their counts are inside the checkpoint already — and replays nothing.
+	rs := newReplayState(ck)
+	if wr != nil {
+		for seen := uint64(0); ; seen++ {
+			r, err := wr.next()
+			if err != nil {
+				return nil, err
+			}
+			if r == nil {
+				break
+			}
+			if seen < cut {
+				continue
+			}
+			if err := e.replay(r, rs); err != nil {
+				return nil, err
+			}
+		}
+		if rep.TornTail = wr.dec.Torn(); rep.TornTail {
+			_, rep.TornOffset = wr.dec.TornAt()
+			fmt.Fprintf(os.Stderr, "server: wal %s: dropped torn final line at byte offset %d (crash mid-append)\n",
+				wr.path, rep.TornOffset)
+		}
 	}
-	rs, err := e.replay(suffix, ck)
-	if err != nil {
-		return nil, err
-	}
-	rep.ReplayedRecords = len(suffix)
-	e.met.recoveryReplayed.Add(int64(len(suffix)))
+	rep.ReplayedRecords = rs.n
+	e.met.recoveryReplayed.Add(int64(rs.n))
 
 	// Meter: straight from the checkpoint when nothing was replayed on top;
 	// otherwise rebuilt from the last record's absolute coordinates plus the
@@ -205,7 +225,7 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 	recoveredVT := rs.vt
 	e.virtualAt.Store(math.Float64bits(recoveredVT))
 	ms := energy.MeterState{Now: rs.lastMT, Used: rs.lastEN, Budget: rs.budget}
-	if len(suffix) == 0 && ck != nil {
+	if rs.n == 0 && ck != nil {
 		ms = ck.Meter
 	} else {
 		ms.States = make([]cluster.PState, len(e.cores))
@@ -450,31 +470,36 @@ func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
 	return nil
 }
 
-// replay applies one record suffix to the restored base state. Effects are
-// applied directly; interrupted dispositions accumulate in the returned
-// replayState for the dangler pass.
-func (e *Engine) replay(recs []walRecord, base *checkpoint) (*replayState, error) {
+// newReplayState starts a replay pass on the restored base state: the
+// checkpoint's meter coordinates, virtual time and budget, or zeros at
+// genesis.
+func newReplayState(base *checkpoint) *replayState {
 	rs := &replayState{}
 	if base != nil {
 		rs.lastMT, rs.lastEN = base.Meter.Now, base.Meter.Used
 		rs.vt = base.VirtualNow
 		rs.budget = base.Meter.Budget
 	}
-	for i := range recs {
-		r := &recs[i]
-		if r.K != wkReject {
-			// Reject records are written by handler goroutines and carry no
-			// meter coordinates; every engine record does.
-			rs.lastMT, rs.lastEN = r.MT, r.EN
-			if r.T > rs.vt {
-				rs.vt = r.T
-			}
-		}
-		if err := e.apply(r, rs); err != nil {
-			return nil, fmt.Errorf("server: wal replay: record %d (%s): %w", i, r.K, err)
+	return rs
+}
+
+// replay applies the next suffix record to the restored state. Effects are
+// applied directly; interrupted dispositions accumulate in rs for the
+// dangler pass.
+func (e *Engine) replay(r *walRecord, rs *replayState) error {
+	if r.K != wkReject {
+		// Reject records are written by handler goroutines and carry no
+		// meter coordinates; every engine record does.
+		rs.lastMT, rs.lastEN = r.MT, r.EN
+		if r.T > rs.vt {
+			rs.vt = r.T
 		}
 	}
-	return rs, nil
+	if err := e.apply(r, rs); err != nil {
+		return fmt.Errorf("server: wal replay: record %d (%s): %w", rs.n, r.K, err)
+	}
+	rs.n++
+	return nil
 }
 
 // apply executes one record's effect.

@@ -335,7 +335,9 @@ func (rt *Router) SlackBudget() float64 {
 	return rt.slack
 }
 
-// RecoverAll replays each shard's checkpoint + WAL in shard order.
+// RecoverAll replays each shard's checkpoint + WAL in shard order. On error
+// a shard may hold a partly replayed state: the router must be discarded,
+// not started.
 func (rt *Router) RecoverAll() ([]*RecoveryReport, error) {
 	reps := make([]*RecoveryReport, 0, len(rt.shards))
 	for _, sh := range rt.shards {

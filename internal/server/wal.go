@@ -5,8 +5,10 @@ package server
 // requeue, fault/kill, repair, breaker transition, brownout stage change,
 // energy debit, halt, and pre-admission reject — is appended as one JSONL
 // record and fsync'd *before* the client sees the acknowledgement (group
-// commit: the engine batches each loop iteration's records into a single
-// flush+fsync and only then releases the deferred Decision replies).
+// commit: a loop turn that releases Decision replies makes every staged
+// record durable in one flush+fsync first; a turn that releases none only
+// hands its records to the OS, and the next acknowledging commit syncs
+// them).
 //
 // The file reuses the flight recorder's envelope discipline
 // (internal/trace.LineDecoder): header-first JSONL, a 16MB line cap, and
@@ -174,7 +176,8 @@ func walPath(base string, incarnation uint64) string {
 
 // wal is the append side. All appends are serialized by mu — the engine
 // goroutine writes transition records, handler goroutines write reject
-// records — and nothing is durable until commit's flush+fsync returns.
+// records — and nothing is durable until commit's flush+fsync returns;
+// write hands the staged records to the OS without the fsync.
 // A write or sync failure latches: the wal goes dead, the error surfaces
 // once through commit, and the engine drops to WAL-less operation rather
 // than acking requests it can no longer make durable claims about.
@@ -186,7 +189,8 @@ type wal struct {
 	n         uint64            // records appended (header excluded)
 	rejects   uint64            // reject records appended (subset of n)
 	tnRejects map[string]uint64 // reject records per tenant id (subset of rejects)
-	dirty     bool
+	dirty     bool              // records appended since the last fsync
+	syncs     uint64            // fsyncs issued, header and close included
 	err       error
 }
 
@@ -203,7 +207,7 @@ func createWAL(base string, hdr walHeader) (*wal, error) {
 		return nil, err
 	}
 	w.dirty = true
-	if err := w.commit(); err != nil {
+	if _, err := w.commit(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -248,27 +252,49 @@ func (w *wal) append(rec *walRecord) {
 	w.dirty = true
 }
 
-// commit makes every staged record durable: flush, then fsync. A clean
-// no-op when nothing is staged. Returns (and clears nothing of) the latched
-// error, so the engine can disable the wal on first failure.
-func (w *wal) commit() error {
+// commit makes every record appended since the last fsync durable: flush,
+// then fsync. A clean no-op when there is none; synced reports whether it
+// fsynced. Returns (and clears nothing of) the latched error, so the engine
+// can disable the wal on first failure.
+func (w *wal) commit() (synced bool, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return false, w.err
+	}
+	if !w.dirty {
+		return false, nil
+	}
+	if err := w.flushLocked(); err != nil {
+		return false, err
+	}
+	if err := w.f.Sync(); err != nil {
+		w.err = fmt.Errorf("server: wal fsync: %w", err)
+		return false, w.err
+	}
+	w.syncs++
+	w.dirty = false
+	return true, nil
+}
+
+// write hands the staged records to the OS without an fsync: a process
+// crash after it loses nothing, a machine crash may lose them. They stay
+// dirty for the next commit.
+func (w *wal) write() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	if !w.dirty {
-		return nil
-	}
+	return w.flushLocked()
+}
+
+// flushLocked empties the buffer into the file; errors latch. Callers hold mu.
+func (w *wal) flushLocked() error {
 	if err := w.bw.Flush(); err != nil {
 		w.err = fmt.Errorf("server: wal flush: %w", err)
 		return w.err
 	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("server: wal fsync: %w", err)
-		return w.err
-	}
-	w.dirty = false
 	return nil
 }
 
@@ -291,7 +317,7 @@ func (w *wal) cut() (records, rejects uint64, tnRejects map[string]uint64) {
 
 // close flushes, fsyncs, and closes the file.
 func (w *wal) close() error {
-	err := w.commit()
+	_, err := w.commit()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if cerr := w.f.Close(); err == nil {
@@ -300,53 +326,60 @@ func (w *wal) close() error {
 	return err
 }
 
-// readWAL loads one incarnation's header and records, tolerating (and
-// reporting) a torn final line.
-func readWAL(base string, incarnation uint64) (hdr walHeader, recs []walRecord, torn bool, tornOff int64, err error) {
+// walReader streams one incarnation: openWAL reads and checks the header,
+// then next decodes one record per call, so replay holds one record at a
+// time whatever the log's length. A torn final line ends the stream (dec
+// reports it); corruption before the final line is an error.
+type walReader struct {
+	f    *os.File
+	path string
+	dec  *trace.LineDecoder
+	hdr  walHeader
+}
+
+// openWAL opens one incarnation and reads its header.
+func openWAL(base string, incarnation uint64) (*walReader, error) {
 	path := walPath(base, incarnation)
 	f, err := os.Open(path)
 	if err != nil {
-		return hdr, nil, false, 0, fmt.Errorf("server: open wal: %w", err)
+		return nil, fmt.Errorf("server: open wal: %w", err)
 	}
-	defer f.Close()
-	dec := trace.NewLineDecoder(f)
-	first := true
-	for {
-		var ln walLine
-		ok, derr := dec.Next(&ln)
-		if derr != nil {
-			return hdr, nil, false, 0, fmt.Errorf("server: wal %s: %w", path, derr)
-		}
-		if !ok {
-			break
-		}
-		if first {
-			if ln.H == nil {
-				return hdr, nil, false, 0, fmt.Errorf("server: wal %s: first line is not a header", path)
-			}
-			if ln.H.Format != walFormat {
-				return hdr, nil, false, 0, fmt.Errorf("server: wal %s: format %q, want %q", path, ln.H.Format, walFormat)
-			}
-			hdr = *ln.H
-			first = false
-			continue
-		}
-		if ln.H != nil {
-			return hdr, nil, false, 0, fmt.Errorf("server: wal %s: duplicate header at line %d", path, dec.Lines())
-		}
-		if ln.R == nil {
-			return hdr, nil, false, 0, fmt.Errorf("server: wal %s: line %d has neither header nor record", path, dec.Lines())
-		}
-		recs = append(recs, *ln.R)
+	r := &walReader{f: f, path: path, dec: trace.NewLineDecoder(f)}
+	var ln walLine
+	ok, err := r.dec.Next(&ln)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("server: wal %s: %w", path, err)
+	case !ok:
+		err = fmt.Errorf("server: wal %s: empty file", path)
+	case ln.H == nil:
+		err = fmt.Errorf("server: wal %s: first line is not a header", path)
+	case ln.H.Format != walFormat:
+		err = fmt.Errorf("server: wal %s: format %q, want %q", path, ln.H.Format, walFormat)
 	}
-	if first {
-		return hdr, nil, false, 0, fmt.Errorf("server: wal %s: empty file", path)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
-	if dec.Torn() {
-		_, off := dec.TornAt()
-		return hdr, recs, true, off, nil
+	r.hdr = *ln.H
+	return r, nil
+}
+
+// next decodes the next record; it returns nil at the end of the stream.
+func (r *walReader) next() (*walRecord, error) {
+	var ln walLine
+	ok, err := r.dec.Next(&ln)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("server: wal %s: %w", r.path, err)
+	case !ok:
+		return nil, nil
+	case ln.H != nil:
+		return nil, fmt.Errorf("server: wal %s: duplicate header at line %d", r.path, r.dec.Lines())
+	case ln.R == nil:
+		return nil, fmt.Errorf("server: wal %s: line %d has neither header nor record", r.path, r.dec.Lines())
 	}
-	return hdr, recs, false, 0, nil
+	return ln.R, nil
 }
 
 // hexState encodes a captured RNG stream state for a record.

@@ -2,8 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -117,5 +121,99 @@ func TestReadModelJSONRejectsBadPMF(t *testing.T) {
 		// The inserted 0 merely renormalizes if lengths still match; ensure
 		// at least the length mismatch path rejects.
 		t.Log("renormalization absorbed the corruption; acceptable")
+	}
+}
+
+// writeJSONEncoder is the reference writer: one json.Encoder.Encode of the
+// whole jsonModel. WriteJSON streams the same bytes piece by piece.
+func writeJSONEncoder(m *Model, w io.Writer) error {
+	jm := jsonModel{
+		Params:   m.Params,
+		Cluster:  m.Cluster,
+		Table:    m.table,
+		TypeMean: m.typeMean,
+		TAvg:     m.tAvg,
+		Rates:    map[string]float64{"fast": m.fastRate, "slow": m.slowRate},
+	}
+	return json.NewEncoder(w).Encode(&jm)
+}
+
+// paperModel builds the model the paper spec serves on: seed 2011_0913,
+// the paper cluster and the paper workload parameters, derived as
+// experiment.BuildModelFromSpec derives them.
+func paperModel(t *testing.T) *Model {
+	t.Helper()
+	root := randx.NewStream(2011_0913)
+	c, err := cluster.Generate(root.Child("cluster"), cluster.PaperGenParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := BuildModel(root.Child("model"), c, PaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestWriteJSONMatchesEncoder: the streamed writer is byte-equal to one
+// Encode of the whole model, on the paper model (whose fingerprint every
+// persisted header carries), on a model with classes and on a slice.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	paper := paperModel(t)
+	if h := paper.Hash(); h != "e13d3302c3092a5f" {
+		t.Fatalf("paper model hash %s, want e13d3302c3092a5f", h)
+	}
+	slice, err := buildTestModel(t, 53).Slice([]int{4, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{
+		"paper":   paper,
+		"classes": buildClassModel(t, 54),
+		"slice":   slice,
+	} {
+		var got, want bytes.Buffer
+		if err := m.WriteJSON(&got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := writeJSONEncoder(m, &want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: streamed JSON (%d bytes) differs from the encoder's (%d bytes)", name, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestModelHashMemoised: concurrent first calls agree with a fresh digest
+// of WriteJSON, and a slice fingerprints apart from its parent.
+func TestModelHashMemoised(t *testing.T) {
+	m := buildTestModel(t, 55)
+	h := sha256.New()
+	if err := m.WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	want := hex.EncodeToString(h.Sum(nil)[:8])
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = m.Hash()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Fatalf("goroutine %d: Hash %s, want %s", i, g, want)
+		}
+	}
+	sub, err := m.Slice([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Hash() == want {
+		t.Fatalf("slice hashes like its parent (%s)", want)
 	}
 }

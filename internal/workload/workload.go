@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/cvb"
@@ -141,6 +142,11 @@ func (p Params) Phases() []randx.RatePhase {
 // Model holds everything that is fixed across simulation trials: the
 // execution-time pmf for every (task type, node, P-state) combination, the
 // per-type average execution times used for deadlines, and t_avg.
+//
+// A Model is immutable once BuildModel, ReadModelJSON or Slice returns it:
+// nothing writes its fields, its cluster's nodes or its tables afterwards,
+// and many engines and goroutines share one. Hash relies on that and
+// fingerprints the model once.
 type Model struct {
 	Params  Params
 	Cluster *cluster.Cluster
@@ -167,6 +173,10 @@ type Model struct {
 	fastRate, slowRate float64
 	// classOf[type] indexes Params.Classes (nil without classes).
 	classOf []int
+
+	// hashOnce guards hash, the memoised Hash digest.
+	hashOnce sync.Once
+	hash     string
 }
 
 // BuildModel constructs the fixed workload model: a CVB ETC matrix gives
