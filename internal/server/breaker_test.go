@@ -86,7 +86,7 @@ func TestScriptedFaultRequeue(t *testing.T) {
 	})
 
 	// Load every core so the scripted victims are guaranteed to hold work.
-	n := len(eng.cores) + 10
+	n := eng.NumCores() + 10
 	for i := 0; i < n; i++ {
 		if d := submitType(t, eng, i%m.Params.TaskTypes); d.Status != StatusMapped {
 			t.Fatalf("task %d not mapped: %v/%q", i, d.Status, d.Reason)
@@ -110,7 +110,7 @@ func TestScriptedFaultRequeue(t *testing.T) {
 	}
 	// Cores 0 and 1 are on the same node in cluster order; two strikes with
 	// threshold 2 must have opened its breaker.
-	if eng.cores[0].Node == eng.cores[1].Node && st.BreakerOpens == 0 {
+	if eng.CoreID(0).Node == eng.CoreID(1).Node && st.BreakerOpens == 0 {
 		t.Fatalf("same-node double strike did not open the breaker: %+v", st)
 	}
 	if err := eng.Drain(context.Background()); err != nil {
@@ -133,7 +133,7 @@ func TestPermanentNodeFailure(t *testing.T) {
 			Recovery: fault.Recovery{Mode: fault.Drop},
 		}
 	})
-	n := len(eng.cores) + 5
+	n := eng.NumCores() + 5
 	for i := 0; i < n; i++ {
 		submitType(t, eng, i%m.Params.TaskTypes)
 	}

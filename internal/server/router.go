@@ -239,7 +239,7 @@ func NewSharded(base Config, n int, rcfg RouterConfig) (*Router, error) {
 		// construction, safe to read here before Start).
 		var rate float64
 		for _, sh := range shards {
-			rate += sh.eng.meter.Rate()
+			rate += sh.eng.Meter.Rate()
 		}
 		if rate > 0 {
 			idleWindow = zeta / rate

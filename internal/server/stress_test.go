@@ -42,7 +42,7 @@ func TestBreakerHalfOpenToDeadUnderRequeueBurst(t *testing.T) {
 	})
 
 	// Load every core so both strikes and the node death strand real work.
-	n := len(eng.cores) + 12
+	n := eng.NumCores() + 12
 	for i := 0; i < n; i++ {
 		if d := submitType(t, eng, i%m.Params.TaskTypes); d.Status != StatusMapped {
 			t.Fatalf("task %d not mapped: %v/%q", i, d.Status, d.Reason)

@@ -23,8 +23,8 @@ func (e *Engine) walAppend(rec *walRecord) {
 	if !e.walOn() {
 		return
 	}
-	rec.MT = e.meter.Now()
-	rec.EN = e.meter.Consumed()
+	rec.MT = e.Meter.Now()
+	rec.EN = e.Meter.Consumed()
 	e.wal.append(rec)
 	e.met.walRecords.Inc()
 }

@@ -94,8 +94,8 @@ func validateCentral(cfg Config) error {
 // idleCore returns the lowest flat index of a core that is up and has an
 // empty queue, or -1 when every core is busy or down.
 func (e *engine) idleCore() int {
-	for idx := range e.queues {
-		if e.queues[idx].len() == 0 && !e.coreDown(idx) {
+	for idx := range e.Queues {
+		if e.Queues[idx].Len() == 0 && !e.coreDown(idx) {
 			return idx
 		}
 	}
@@ -114,7 +114,7 @@ func (e *engine) dispatch(now float64) {
 		if coreIdx < 0 {
 			return
 		}
-		node := e.cores[coreIdx].Node
+		node := e.Cores[coreIdx].Node
 		pick, ps := e.central.Select(e.calc, e.pool, node, now, e.energyLeft, len(e.trial.Tasks)-e.arrived)
 		if pick < 0 || pick >= len(e.pool) {
 			return // policy declines; core stays idle
@@ -130,12 +130,12 @@ func (e *engine) dispatch(now float64) {
 		e.pool = append(e.pool[:pick], e.pool[pick+1:]...)
 
 		exec := e.cfg.Model.ExecPMF(task.Type, node, ps)
-		eec := exec.Mean() * e.cfg.Model.Cluster.Node(e.cores[coreIdx]).Power[ps] /
-			e.cfg.Model.Cluster.Node(e.cores[coreIdx]).Efficiency
+		eec := exec.Mean() * e.cfg.Model.Cluster.Node(e.Cores[coreIdx]).Power[ps] /
+			e.cfg.Model.Cluster.Node(e.Cores[coreIdx]).Efficiency
 		// The core is idle at dispatch, so the predicted completion
 		// distribution is the execution pmf shifted to now — the same
 		// quantity EDFCheapest evaluates when choosing the P-state.
-		e.commit(now, task, e.assignment(coreIdx, ps), eec, func() sched.Prediction {
+		e.commit(now, task, e.Assignment(coreIdx, ps), eec, func() sched.Prediction {
 			comp := exec.Shift(now)
 			return sched.Prediction{
 				Rho:  comp.ProbByDeadline(task.Deadline),

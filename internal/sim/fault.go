@@ -16,6 +16,7 @@ package sim
 // this file applies them.
 
 import (
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/randx"
 	"repro/internal/sched"
@@ -56,10 +57,10 @@ func (e *engine) initFaults(decisions *randx.Stream) {
 		transientRng: rng.Child("transient"),
 		permanentRng: rng.Child("permanent"),
 		targetRng:    rng.Child("target"),
-		down:         make([]bool, len(e.queues)),
-		downAt:       make([]float64, len(e.queues)),
+		down:         make([]bool, len(e.Queues)),
+		downAt:       make([]float64, len(e.Queues)),
 		nodeDead:     make([]bool, e.cfg.Model.Cluster.N()),
-		runGen:       make([]int, len(e.queues)),
+		runGen:       make([]int, len(e.Queues)),
 		attempts:     make(map[int]int),
 		avail:        e.cfg.Faults.Availability(),
 	}
@@ -67,13 +68,13 @@ func (e *engine) initFaults(decisions *randx.Stream) {
 	e.coreUpFn = func(idx int) bool { return !f.down[idx] }
 	e.availFn = func(int) float64 { return f.avail }
 	if f.spec.Transient.Enabled {
-		e.push(event{time: f.spec.Transient.Sample(f.transientRng), kind: evFault, idx: srcTransient})
+		e.push(exec.Event{Time: f.spec.Transient.Sample(f.transientRng), Kind: evFault, Idx: srcTransient})
 	}
 	if f.spec.Permanent.Enabled {
-		e.push(event{time: f.spec.Permanent.Sample(f.permanentRng), kind: evFault, idx: srcPermanent})
+		e.push(exec.Event{Time: f.spec.Permanent.Sample(f.permanentRng), Kind: evFault, Idx: srcPermanent})
 	}
 	for i, sf := range f.spec.Script {
-		e.push(event{time: sf.Time, kind: evFault, idx: srcScript + i})
+		e.push(exec.Event{Time: sf.Time, Kind: evFault, Idx: srcScript + i})
 	}
 }
 
@@ -119,7 +120,7 @@ func (e *engine) checkBrownout(now float64) {
 	if e.bro == nil {
 		return
 	}
-	frac := e.meter.Consumed() / e.meter.Budget()
+	frac := e.Meter.Consumed() / e.Meter.Budget()
 	stage, changed := e.bro.Update(frac)
 	if !changed {
 		return
@@ -130,9 +131,9 @@ func (e *engine) checkBrownout(now float64) {
 		e.bobs.BrownoutStageChanged(now, stage, frac)
 	}
 	if st := e.bro.Current(); st.ParkIdle {
-		for i := range e.queues {
-			if e.queues[i].len() == 0 && !e.coreDown(i) {
-				e.meter.SetPower(i, 0)
+		for i := range e.Queues {
+			if e.Queues[i].Len() == 0 && !e.coreDown(i) {
+				e.Meter.SetPower(i, 0)
 			}
 		}
 	}
@@ -146,7 +147,7 @@ func (e *engine) applyIdlePower(coreIdx int) {
 		return
 	}
 	if st := e.bro.Current(); st != nil && st.ParkIdle {
-		e.meter.SetPower(coreIdx, 0)
+		e.Meter.SetPower(coreIdx, 0)
 	}
 }
 
@@ -162,14 +163,14 @@ func (e *engine) handleFault(now float64, src int) {
 		// With every node permanently dead no core can ever be struck
 		// again; rescheduling would spin the loop forever.
 		if fault.CountEligible(f.nodeDead, false) > 0 {
-			e.push(event{time: now + f.spec.Transient.Sample(f.transientRng), kind: evFault, idx: srcTransient})
+			e.push(exec.Event{Time: now + f.spec.Transient.Sample(f.transientRng), Kind: evFault, Idx: srcTransient})
 		}
 	case srcPermanent:
 		if node, ok := fault.PickVictim(f.targetRng, f.nodeDead, false); ok {
 			e.injectFault(now, fault.Permanent, -1, node, 0)
 		}
 		if fault.CountEligible(f.nodeDead, false) > 0 {
-			e.push(event{time: now + f.spec.Permanent.Sample(f.permanentRng), kind: evFault, idx: srcPermanent})
+			e.push(exec.Event{Time: now + f.spec.Permanent.Sample(f.permanentRng), Kind: evFault, Idx: srcPermanent})
 		}
 	default:
 		sf := f.spec.Script[src-srcScript]
@@ -192,7 +193,7 @@ func (e *engine) injectFault(now float64, kind fault.Kind, coreIdx, node int, re
 			return
 		}
 		e.flt.nodeDead[node] = true
-		for idx, id := range e.cores {
+		for idx, id := range e.Cores {
 			if id.Node == node {
 				e.downCore(now, kind, idx, 0)
 			}
@@ -214,22 +215,22 @@ func (e *engine) downCore(now float64, kind fault.Kind, coreIdx int, repair floa
 	f.downAt[coreIdx] = now
 	f.runGen[coreIdx]++ // pending completion (if any) is now stale
 	if e.fobs != nil {
-		e.fobs.CoreFailed(now, e.cores[coreIdx], kind, repair)
+		e.fobs.CoreFailed(now, e.Cores[coreIdx], kind, repair)
 	}
-	q := &e.queues[coreIdx]
+	q := &e.Queues[coreIdx]
 	e.ftc.Invalidate(coreIdx)
-	e.inSystem -= q.len()
-	for i := range q.run {
-		if q.snap[i].Started {
+	e.inSystem -= q.Len()
+	for i := range q.Run {
+		if q.Snap[i].Started {
 			e.res.TasksKilled++
 			e.met.taskKilled()
 		}
 		if e.fobs != nil {
-			e.fobs.TaskKilled(now, q.run[i].task, e.cores[coreIdx])
+			e.fobs.TaskKilled(now, q.Run[i].Task, e.Cores[coreIdx])
 		}
-		e.recoverTask(now, q.run[i].task)
+		e.recoverTask(now, q.Run[i].Task)
 	}
-	q.clear()
+	q.Clear()
 	if e.cfg.Park.Enabled {
 		e.idleGen[coreIdx]++ // invalidate pending park checks
 		if e.parked[coreIdx] {
@@ -237,9 +238,9 @@ func (e *engine) downCore(now float64, kind fault.Kind, coreIdx int, repair floa
 			e.res.ParkedTime += now - e.parkedAt[coreIdx]
 		}
 	}
-	e.meter.SetPower(coreIdx, 0)
+	e.Meter.SetPower(coreIdx, 0)
 	if kind == fault.Transient {
-		e.push(event{time: now + repair, kind: evRepair, idx: coreIdx})
+		e.push(exec.Event{Time: now + repair, Kind: evRepair, Idx: coreIdx})
 	}
 }
 
@@ -251,22 +252,22 @@ func (e *engine) handleRepair(now float64, coreIdx int) {
 	if !f.down[coreIdx] {
 		return
 	}
-	if f.nodeDead[e.cores[coreIdx].Node] {
+	if f.nodeDead[e.Cores[coreIdx].Node] {
 		// The node died permanently while this core's transient repair was
 		// pending; the repair must not resurrect it.
 		return
 	}
 	f.down[coreIdx] = false
 	e.res.DownTime += now - f.downAt[coreIdx]
-	e.meter.ClearPower(coreIdx)
-	e.setPState(now, coreIdx, e.cfg.IdlePState)
+	e.Meter.ClearPower(coreIdx)
+	e.SetPState(now, coreIdx, e.cfg.IdlePState)
 	e.applyIdlePower(coreIdx)
 	if e.fobs != nil {
-		e.fobs.CoreRepaired(now, e.cores[coreIdx])
+		e.fobs.CoreRepaired(now, e.Cores[coreIdx])
 	}
 	if e.cfg.Park.Enabled {
 		e.idleGen[coreIdx]++
-		e.push(event{time: now + e.cfg.Park.Timeout, kind: evPark, idx: coreIdx, gen: e.idleGen[coreIdx]})
+		e.push(exec.Event{Time: now + e.cfg.Park.Timeout, Kind: evPark, Idx: coreIdx, Gen: e.idleGen[coreIdx]})
 	}
 	e.dispatch(now)
 }
@@ -285,7 +286,7 @@ func (e *engine) recoverTask(now float64, task workload.Task) {
 		e.fobs.TaskRequeued(now, task, used+1)
 	}
 	e.pendingReq++
-	e.push(event{time: now + delay, kind: evRequeue, idx: task.ID})
+	e.push(exec.Event{Time: now + delay, Kind: evRequeue, Idx: task.ID})
 }
 
 // loseTask records a task as lost to failure.

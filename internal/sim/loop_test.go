@@ -67,49 +67,3 @@ func TestRunAllocsFlatInTasks(t *testing.T) {
 		})
 	}
 }
-
-// TestEventHeapPopsInTotalOrder interleaves random pushes and pops, with
-// many equal times and kinds, and checks every pop against a reference
-// that holds the same events and sorts them on (time, kind, seq).
-func TestEventHeapPopsInTotalOrder(t *testing.T) {
-	r := randx.NewStream(3)
-	var h eventHeap
-	var ref []event
-	pops := 0
-	for seq := 0; seq < 20000; {
-		if len(h) == 0 || r.IntN(3) > 0 {
-			ev := event{time: float64(r.IntN(8)), kind: r.IntN(numEventKinds), idx: seq, seq: seq}
-			seq++
-			h.push(ev)
-			ref = append(ref, ev)
-			continue
-		}
-		checkPop(t, &h, &ref)
-		pops++
-	}
-	for len(h) > 0 {
-		checkPop(t, &h, &ref)
-		pops++
-	}
-	if pops != 20000 || len(ref) != 0 {
-		t.Fatalf("%d pops, %d events left in the reference", pops, len(ref))
-	}
-}
-
-// checkPop pops h and requires the reference's least event on
-// (time, kind, seq), which it removes from ref.
-func checkPop(t *testing.T, h *eventHeap, ref *[]event) {
-	t.Helper()
-	r := *ref
-	least := 0
-	for i, x := range r {
-		y := r[least]
-		if x.time < y.time || x.time == y.time && (x.kind < y.kind || x.kind == y.kind && x.seq < y.seq) {
-			least = i
-		}
-	}
-	if got := h.pop(); got != r[least] {
-		t.Fatalf("pop: got %+v, want %+v", got, r[least])
-	}
-	*ref = append(r[:least], r[least+1:]...)
-}
