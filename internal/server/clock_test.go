@@ -54,3 +54,23 @@ func TestRealClockWaitUntilStop(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 }
+
+// TestClockWaitUntilPast: a wait on an instant the clock has already
+// reached is ready at once and arms nothing, on both clocks.
+func TestClockWaitUntilPast(t *testing.T) {
+	rc := NewRealClockAt(100, 1)
+	mc := NewManualClock()
+	mc.Advance(100)
+	for name, c := range map[string]Clock{"real": rc, "manual": mc} {
+		ch, stop := c.WaitUntil(50)
+		select {
+		case <-ch:
+		default:
+			t.Fatalf("%s clock: a wait on a past instant is not ready", name)
+		}
+		stop()
+	}
+	if n := mc.liveWaiters(); n != 0 {
+		t.Fatalf("manual clock holds %d waiters after past-instant waits, want 0", n)
+	}
+}

@@ -47,8 +47,29 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
-echo "== tier 1: go test ./..."
-go test ./...
+echo "== tier 1: go test ./... (coverage of internal/)"
+covtmp="$(mktemp -d)"
+go test -coverpkg=./internal/... -coverprofile="$covtmp/cover.out" ./...
+# The coverage ratchet (ROADMAP item 26): a statement in internal/ that no
+# test binary reaches is neither proven nor pinned. A block counts as
+# covered when any binary runs it; the count only falls, and it fails when
+# it exceeds the number in verify_uncovered.txt.
+awk 'NR > 1 { n[$1] = $2; if ($3 > 0) hit[$1] = 1 }
+END { for (b in n) if (!hit[b]) { f = b; sub(/:.*/, "", f); per[f] += n[b] }
+      for (f in per) print per[f], f }' "$covtmp/cover.out" | sort -k1,1rn -k2 >"$covtmp/uncovered"
+rm -f "$covtmp/cover.out"
+uncovered="$(awk '{ s += $1 } END { print s + 0 }' "$covtmp/uncovered")"
+floor="$(cat verify_uncovered.txt)"
+echo "== tier 1: internal statements reached by no test: $uncovered (ratchet: $floor)"
+sed 's/^/   /' "$covtmp/uncovered"
+rm -rf "$covtmp"
+if [ "$uncovered" -gt "$floor" ]; then
+    echo "verify: $uncovered uncovered statements, more than the $floor in verify_uncovered.txt; test the new code" >&2
+    exit 1
+fi
+if [ "$uncovered" -lt "$floor" ]; then
+    echo "   below the ratchet: lower verify_uncovered.txt to $uncovered"
+fi
 # The cache-parity suite proves the incremental free-time engine is
 # bit-identical to the naive recomputation; run it under the race detector
 # so a cache shared across goroutines can never slip in unnoticed.
