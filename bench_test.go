@@ -559,10 +559,10 @@ func (v *busyView) Queue(i int) robustness.CoreQueue { return v.queues[i] }
 
 // BenchmarkBuildCandidates measures candidate enumeration plus the full
 // LL+en+rob filter chain over a busy cluster — the mapping hot path — on
-// both ρ paths. "fresh" is the engine-less reference: every core's sparse
-// chain derived per decision (what the exact-ρ oracle pays); "cached" is
-// production: the engine's per-core lattice chains plus the arena, as the
-// engines run between queue mutations.
+// both ρ paths. "fresh" is the exact-ρ oracle: every core's sparse chain
+// derived per decision, no arena; "cached" is production: the engine's
+// per-core lattice chains plus the arena, as the engines run between
+// queue mutations.
 func BenchmarkBuildCandidates(b *testing.B) {
 	m := microModel(b)
 	calc := robustness.NewCalculator(m)
@@ -570,7 +570,7 @@ func BenchmarkBuildCandidates(b *testing.B) {
 	mapper := &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}
 	task := workload.Task{ID: 0, Type: 3, Arrival: 100, Deadline: 100 + 2.5*m.TAvg(), U: 0.5, Priority: 1}
 	now := 100.0
-	run := func(b *testing.B, ft *robustness.FreeTimeEngine, arena *sched.Arena) {
+	run := func(b *testing.B, ft sched.FreeTimes, arena *sched.Arena) {
 		rng := randx.NewStream(7)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -587,7 +587,7 @@ func BenchmarkBuildCandidates(b *testing.B) {
 		d := pmf.ReadOpCounts().Sub(before)
 		b.ReportMetric(float64(d.Convolutions)/float64(b.N), "conv/decision")
 	}
-	b.Run("fresh", func(b *testing.B) { run(b, nil, nil) })
+	b.Run("fresh", func(b *testing.B) { run(b, robustness.NewOracle(calc), nil) })
 	b.Run("cached", func(b *testing.B) {
 		run(b, robustness.NewFreeTimeEngine(calc, view.NumCores()), sched.NewArena())
 	})

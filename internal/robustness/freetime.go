@@ -62,9 +62,8 @@ const (
 	numTallies
 )
 
-// FreeSource is the type of ProbOnTime's last argument, which the engine
-// ignores. It survives only so that signature keeps compiling for
-// benchmark/kernels.go (see SetGrid).
+// FreeSource serves a core's free-time distribution for one decision:
+// the Oracle's ρ reads it, and the engine's ignores it.
 type FreeSource interface{ FreePMF() pmf.PMF }
 
 // coreChain is one core's cached state, all guarded by ver: Invalidate

@@ -39,18 +39,24 @@ func propSteps(t *testing.T, def int) int {
 	return def
 }
 
+// freeSrc serves a fixed free-time distribution and counts its reads.
+type freeSrc struct {
+	free  pmf.PMF
+	reads int
+}
+
+func (s *freeSrc) FreePMF() pmf.PMF { s.reads++; return s.free }
+
 // TestExactRhoParity bounds the divergence between the paper's compacted
 // completion-PMF pipeline and the exact double-sum oracle: both are
 // estimates of the same P(free + exec <= deadline); they may differ only
-// by the compaction's support distortion.
+// by the compaction's support distortion. The oracle's free time is the
+// sparse chain, its mean that chain's mean by linearity, and its ρ reads
+// the distribution the caller serves.
 func TestExactRhoParity(t *testing.T) {
 	m := buildModel(t, 12)
 	def := NewCalculator(m)
-	ex := NewCalculator(m)
-	ex.SetExactRho(true)
-	if !ex.ExactRho() || def.ExactRho() {
-		t.Fatal("ExactRho flag not plumbed")
-	}
+	ex := NewOracle(def)
 	rng := randx.NewStream(42)
 	tavg := m.TAvg()
 	types := m.Params.TaskTypes
@@ -73,13 +79,21 @@ func TestExactRhoParity(t *testing.T) {
 			q.Tasks = append(q.Tasks, qt)
 		}
 		free := def.FreeTime(q, now)
+		assertBitIdentical(t, trial, ex.FreeTime(0, q, now), free)
+		if got, want := ex.FreeMean(0, q, now), free.Mean(); math.Abs(got-want) > 1e-6*want {
+			t.Fatalf("trial %d: oracle free mean %v, chain mean %v", trial, got, want)
+		}
 		ty := rng.IntN(types)
 		ps := cluster.PState(rng.IntN(cluster.NumPStates))
 		eet := m.ExecPMF(ty, node, ps).Mean()
 		// Deadlines swept across the interesting range: hopeless to safe.
 		deadline := free.Mean() + eet*(4*rng.Float64()-1)
 		pd := def.ProbOnTime(free, ty, node, ps, deadline)
-		pe := ex.ProbOnTime(free, ty, node, ps, deadline)
+		src := &freeSrc{free: free}
+		pe := ex.ProbOnTime(0, q, now, ty, ps, deadline, src)
+		if src.reads != 1 {
+			t.Fatalf("trial %d: oracle ρ read its free-time source %d times, want 1", trial, src.reads)
+		}
 		if pe < 0 || pe > 1 {
 			t.Fatalf("trial %d: exact ρ %v out of [0,1]", trial, pe)
 		}
@@ -97,7 +111,9 @@ func TestExactRhoParity(t *testing.T) {
 
 // TestExactRhoTightCaseMatches: when the completion support is small
 // enough that no compaction happens, the two pipelines compute the same
-// sum up to floating-point association.
+// sum up to floating-point association. The oracle is handed the free
+// time through its source, against an empty queue whose own chain is a
+// point: ρ must come from the source.
 func TestExactRhoTightCaseMatches(t *testing.T) {
 	free, err := pmf.New([]float64{10, 12, 15}, []float64{0.2, 0.5, 0.3})
 	if err != nil {
@@ -105,16 +121,19 @@ func TestExactRhoTightCaseMatches(t *testing.T) {
 	}
 	m := buildModel(t, 13)
 	def := NewCalculator(m)
-	ex := NewCalculator(m)
-	ex.SetExactRho(true)
+	ex := NewOracle(def)
 	exec := m.ExecPMF(0, 0, cluster.P0)
 	if free.Len()*exec.Len() > pmf.DefaultMaxImpulses {
 		t.Skipf("support product %d too large for the uncompacted case", free.Len()*exec.Len())
 	}
 	deadline := 10 + exec.Mean()
 	pd := def.ProbOnTime(free, 0, 0, cluster.P0, deadline)
-	pe := ex.ProbOnTime(free, 0, 0, cluster.P0, deadline)
+	pe := ex.ProbOnTime(0, CoreQueue{Node: 0}, 0, 0, cluster.P0, deadline, &freeSrc{free: free})
 	if math.Abs(pd-pe) > 1e-9 {
 		t.Fatalf("uncompacted case: default %v vs exact %v", pd, pe)
+	}
+	// A source with no distribution gives no chance of being on time.
+	if p := ex.ProbOnTime(0, CoreQueue{Node: 0}, 0, 0, cluster.P0, deadline, &freeSrc{}); p != 0 {
+		t.Fatalf("empty free-time distribution: exact ρ %v, want 0", p)
 	}
 }

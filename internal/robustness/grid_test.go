@@ -96,10 +96,6 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 			if gm, wm := eng.FreeMean(0, q, now), calc.GridFreeMean(q, now); gm != wm {
 				t.Fatalf("step %d: grid FreeMean %v, want %v", step, gm, wm)
 			}
-			// The engine-less oracle path in sched derives the sparse head
-			// once (HeadPMF) and shares it with the chain; that shortcut
-			// must equal the plain sparse chain on the same queue.
-			assertBitIdentical(t, step, calc.FreeTimeFrom(calc.HeadPMF(q, now), q, now), calc.FreeTime(q, now))
 			ct := rng.IntN(types)
 			cp := cluster.PState(rng.IntN(cluster.NumPStates))
 			cd := now + tavg*(0.5+2*rng.Float64())

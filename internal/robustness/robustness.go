@@ -48,10 +48,6 @@ type CoreQueue struct {
 type Calculator struct {
 	model *workload.Model
 
-	// exactRho switches ProbOnTime to the direct double-sum oracle (see
-	// SetExactRho). Set once before use; not synchronized.
-	exactRho bool
-
 	// identity is the convolution identity on the model's lattice, minted
 	// once: the empty waiting tail of every chain.
 	identity pmf.Grid
@@ -80,73 +76,36 @@ func (c *Calculator) Instrument(freeTimeEvals, completionEvals *metrics.Counter)
 	c.completionEvals = completionEvals
 }
 
-// SetExactRho switches ProbOnTime from the paper's sparse pipeline
-// (materialize the compacted completion PMF, read its CDF at the deadline)
-// to a direct double-sum evaluation of P(free + exec <= deadline) that has
-// no compaction error in the tail. This is the oracle the production
-// lattice path is checked against: an uncached reference that shares
-// nothing with the lattice (no table, no FreeTimeEngine) and is slower than
-// production, since every decision re-derives each queried core's sparse
-// chain. Set once before the calculator is shared; the flag is not
-// synchronized.
-func (c *Calculator) SetExactRho(on bool) { c.exactRho = on }
-
-// ExactRho reports whether the exact-ρ evaluation mode is active.
-func (c *Calculator) ExactRho() bool { return c.exactRho }
-
 // FreeTime returns the distribution of the instant the core becomes free
 // (finishes everything in queue), predicted at time now. An empty queue
 // yields the degenerate distribution at now — the core's ready time.
 func (c *Calculator) FreeTime(q CoreQueue, now float64) pmf.PMF {
-	return c.FreeTimeFrom(pmf.PMF{}, q, now)
-}
-
-// HeadPMF derives the now-dependent first stage of q's §IV-B chain: the
-// completion distribution of the running task, i.e. its execution PMF
-// shifted by its start time with past impulses removed and the remainder
-// renormalized. It returns the zero PMF when the queue is empty or the
-// head task has not started (the head stage is then a pure shift that
-// FreeTimeFrom derives in place). Callers that need both the expected free
-// time and the full distribution derive the head once and pass it to
-// FreeTimeFrom, instead of repeating the Shift+TruncateBelow work.
-func (c *Calculator) HeadPMF(q CoreQueue, now float64) pmf.PMF {
-	if len(q.Tasks) == 0 || !q.Tasks[0].Started {
-		return pmf.PMF{}
-	}
-	t := q.Tasks[0]
-	comp := c.model.ExecPMF(t.Type, q.Node, t.PState).Shift(t.StartAt)
-	comp, _ = comp.TruncateBelow(now)
-	return comp
-}
-
-// FreeTimeFrom is FreeTime with the head stage optionally precomputed
-// (HeadPMF). A zero head derives it in place; either way the result is
-// bit-identical to the naive left-to-right chain.
-func (c *Calculator) FreeTimeFrom(head pmf.PMF, q CoreQueue, now float64) pmf.PMF {
 	c.freeTimeEvals.Inc()
 	if len(q.Tasks) == 0 {
 		return pmf.Point(now)
 	}
-	var free pmf.PMF
-	t0 := q.Tasks[0]
-	switch {
-	case !head.IsZero():
-		free = head
-	case t0.Started:
-		// Completion distribution of the running task: shift by its
-		// start, drop past impulses, renormalize (§IV-B).
-		comp := c.model.ExecPMF(t0.Type, q.Node, t0.PState).Shift(t0.StartAt)
-		comp, _ = comp.TruncateBelow(now)
-		free = comp
-	default:
-		// Convolving Point(now) with the head's execution PMF is exactly
-		// the degenerate-operand shift shortcut inside Convolve.
-		free = c.model.ExecPMF(t0.Type, q.Node, t0.PState).Shift(now)
-	}
+	free := c.headStage(q, now)
 	for _, t := range q.Tasks[1:] {
 		free = pmf.Convolve(free, c.model.ExecPMF(t.Type, q.Node, t.PState))
 	}
 	return free
+}
+
+// headStage derives the now-dependent first stage of a non-empty queue's
+// §IV-B chain. A started head's stage is its completion distribution: its
+// execution PMF shifted by its start time, past impulses removed and the
+// remainder renormalized. An unstarted head's is its execution PMF
+// shifted by now, which is exactly what convolving Point(now) with it
+// gives (the degenerate-operand shortcut inside Convolve).
+func (c *Calculator) headStage(q CoreQueue, now float64) pmf.PMF {
+	t0 := q.Tasks[0]
+	exec := c.model.ExecPMF(t0.Type, q.Node, t0.PState)
+	if !t0.Started {
+		return exec.Shift(now)
+	}
+	comp := exec.Shift(t0.StartAt)
+	comp, _ = comp.TruncateBelow(now)
+	return comp
 }
 
 // CompletionPMF returns the completion-time distribution of a candidate
@@ -159,11 +118,9 @@ func (c *Calculator) CompletionPMF(free pmf.PMF, taskType, node int, p cluster.P
 
 // ProbOnTime returns ρ(i,j,k,π,t_l,z) for a candidate assignment: the
 // probability the task completes by deadline given the core's FreeTime
-// distribution.
+// distribution, by the paper's sparse pipeline: the compacted completion
+// PMF's CDF at the deadline.
 func (c *Calculator) ProbOnTime(free pmf.PMF, taskType, node int, p cluster.PState, deadline float64) float64 {
-	if c.exactRho {
-		return c.probOnTimeExact(free, taskType, node, p, deadline)
-	}
 	return c.CompletionPMF(free, taskType, node, p).ProbByDeadline(deadline)
 }
 
@@ -193,10 +150,55 @@ func (c *Calculator) probOnTimeExact(free pmf.PMF, taskType, node int, p cluster
 	return sum
 }
 
-// ExpectedCompletion returns ECT (§V-A) for a candidate assignment. By
-// linearity of expectation it avoids the convolution entirely.
-func (c *Calculator) ExpectedCompletion(free pmf.PMF, taskType, node int, p cluster.PState) float64 {
-	return free.Mean() + c.model.ExecPMF(taskType, node, p).Mean()
+// Oracle is the exact-ρ reference that sim.Config.ExactRho runs in place
+// of the FreeTimeEngine, with the same three methods. It caches nothing:
+// every decision derives each queried core's sparse §IV-B chain from
+// scratch, and ρ is the direct double sum P(free + exec <= deadline), with
+// no compaction error in the tail. It shares nothing with the lattice, so
+// it brackets the lattice's quantization; it is several times slower than
+// the engine. It holds no state of its own and is safe for concurrent use.
+type Oracle struct{ calc *Calculator }
+
+// NewOracle returns the oracle evaluating against calc's model.
+func NewOracle(calc *Calculator) *Oracle {
+	if calc == nil {
+		panic("robustness: nil calculator")
+	}
+	return &Oracle{calc: calc}
+}
+
+// FreeMean returns E[free time] by linearity, without convolutions: the
+// mean of a started head's completion distribution, or now plus an
+// unstarted head's execution mean, plus the execution means of the
+// waiting tasks.
+func (o *Oracle) FreeMean(_ int, q CoreQueue, now float64) float64 {
+	if len(q.Tasks) == 0 {
+		return now
+	}
+	m := o.calc.model
+	t0 := q.Tasks[0]
+	var mean float64
+	if t0.Started {
+		mean = o.calc.headStage(q, now).Mean()
+	} else {
+		mean = now + m.ExecMean(t0.Type, q.Node, t0.PState)
+	}
+	for _, t := range q.Tasks[1:] {
+		mean += m.ExecMean(t.Type, q.Node, t.PState)
+	}
+	return mean
+}
+
+// FreeTime returns the core's sparse free-time distribution
+// (Calculator.FreeTime).
+func (o *Oracle) FreeTime(_ int, q CoreQueue, now float64) pmf.PMF {
+	return o.calc.FreeTime(q, now)
+}
+
+// ProbOnTime returns ρ as the direct double sum over src's free-time
+// distribution, the one the caller memoises for the decision.
+func (o *Oracle) ProbOnTime(_ int, q CoreQueue, _ float64, taskType int, ps cluster.PState, deadline float64, src FreeSource) float64 {
+	return o.calc.probOnTimeExact(src.FreePMF(), taskType, q.Node, ps, deadline)
 }
 
 // CoreRobustness evaluates ρ(i,j,k,t_l) (Eq. 3): the expected number of
@@ -209,29 +211,12 @@ func (c *Calculator) CoreRobustness(q CoreQueue, now float64) float64 {
 	sum := 0.0
 	var done pmf.PMF // completion distribution of the prefix
 	for i, t := range q.Tasks {
-		exec := c.model.ExecPMF(t.Type, q.Node, t.PState)
 		if i == 0 {
-			if t.Started {
-				comp := exec.Shift(t.StartAt)
-				comp, _ = comp.TruncateBelow(now)
-				done = comp
-			} else {
-				done = exec.Shift(now)
-			}
+			done = c.headStage(q, now)
 		} else {
-			done = pmf.Convolve(done, exec)
+			done = pmf.Convolve(done, c.model.ExecPMF(t.Type, q.Node, t.PState))
 		}
 		sum += done.ProbByDeadline(t.Deadline)
-	}
-	return sum
-}
-
-// SystemRobustness evaluates ρ(t_l) (Eq. 4): the sum of CoreRobustness
-// over every core in the cluster.
-func (c *Calculator) SystemRobustness(queues []CoreQueue, now float64) float64 {
-	sum := 0.0
-	for i := range queues {
-		sum += c.CoreRobustness(queues[i], now)
 	}
 	return sum
 }

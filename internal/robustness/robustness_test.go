@@ -139,21 +139,6 @@ func TestProbOnTimeDecreasesWithSlowerPState(t *testing.T) {
 	}
 }
 
-func TestExpectedCompletionLinearity(t *testing.T) {
-	m := buildModel(t, 7)
-	calc := NewCalculator(m)
-	q := CoreQueue{Node: 0, Tasks: []QueuedTask{
-		{Type: 0, PState: cluster.P1, Deadline: 1e9},
-	}}
-	free := calc.FreeTime(q, 10)
-	got := calc.ExpectedCompletion(free, 2, 0, cluster.P2)
-	// Full convolution as reference.
-	want := calc.CompletionPMF(free, 2, 0, cluster.P2).Mean()
-	if math.Abs(got-want) > 1e-6*want {
-		t.Fatalf("ExpectedCompletion %v, want %v (convolution reference)", got, want)
-	}
-}
-
 func TestCoreRobustnessEq3(t *testing.T) {
 	m := buildModel(t, 8)
 	calc := NewCalculator(m)
@@ -195,21 +180,6 @@ func TestCoreRobustnessQueuePositionMatters(t *testing.T) {
 	}
 }
 
-func TestSystemRobustnessEq4(t *testing.T) {
-	m := buildModel(t, 10)
-	calc := NewCalculator(m)
-	queues := []CoreQueue{
-		{Node: 0, Tasks: []QueuedTask{{Type: 0, PState: cluster.P0, Deadline: 1e9}}},
-		{Node: 1, Tasks: []QueuedTask{{Type: 1, PState: cluster.P2, Deadline: 1e9}}},
-		{Node: 2},
-	}
-	got := calc.SystemRobustness(queues, 0)
-	want := calc.CoreRobustness(queues[0], 0) + calc.CoreRobustness(queues[1], 0)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("system robustness %v, want %v", got, want)
-	}
-}
-
 func TestNewCalculatorNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -217,6 +187,24 @@ func TestNewCalculatorNilPanics(t *testing.T) {
 		}
 	}()
 	NewCalculator(nil)
+}
+
+// TestNilCalculatorPanics: the oracle and the engine refuse a nil
+// calculator when they are built, not at their first query.
+func TestNilCalculatorPanics(t *testing.T) {
+	for name, build := range map[string]func(){
+		"NewOracle":         func() { NewOracle(nil) },
+		"NewFreeTimeEngine": func() { NewFreeTimeEngine(nil, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s(nil) did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 func TestCalculatorString(t *testing.T) {

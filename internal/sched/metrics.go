@@ -21,13 +21,13 @@ type Counters struct {
 	// FreeTimeHits / FreeTimeMisses track free-time cache traffic. With the
 	// engine they count, per ρ evaluation, whether the cached waiting-tail
 	// product was reused or had to be folded; they also count the
-	// per-decision sparse distribution memo (Predict, and every ρ on the
-	// engine-less reference path): a miss materializes a core's §IV-B
-	// chain, a hit reuses it for another P-state of the same core.
+	// per-decision sparse distribution memo (Predict, and every ρ of the
+	// robustness.Oracle): a miss materializes a core's §IV-B chain, a hit
+	// reuses it for another P-state of the same core.
 	FreeTimeHits   *metrics.Counter
 	FreeTimeMisses *metrics.Counter
 	// GridRho counts ρ evaluations answered by the lattice CDF kernels
-	// (zero on the engine-less reference path).
+	// (zero under the robustness.Oracle).
 	GridRho *metrics.Counter
 	// RhoEvals counts ρ(i,j,k,π,t_l,z) evaluations (candidate-level
 	// completion-probability convolutions).

@@ -68,11 +68,7 @@ func (c *Candidate) Rho() float64 {
 	if c.rho < 0 {
 		s := c.share
 		d := s.dec
-		if d.ft != nil {
-			c.rho = d.ft.ProbOnTime(c.CoreIdx, s.q, d.now, d.taskType, c.PState, d.deadline, nil)
-		} else {
-			c.rho = d.calc.ProbOnTime(s.FreePMF(), d.taskType, c.Core.Node, c.PState, d.deadline)
-		}
+		c.rho = d.ft.ProbOnTime(c.CoreIdx, s.q, d.now, d.taskType, c.PState, d.deadline, s)
 		d.counters.addRho()
 	}
 	return c.rho
@@ -130,13 +126,12 @@ type Context struct {
 	// Counters, when non-nil, receives hot-path instrumentation (candidate
 	// enumeration, free-time cache traffic, filter rejections).
 	Counters *Counters
-	// FreeTimes, when non-nil, is the production ρ path: the cross-decision
-	// free-time engine, whose per-core cached lattice chains answer
-	// FreeMean and ρ. Nil selects the engine-less reference — each
-	// decision derives the sparse §IV-B chain from scratch through Calc
-	// (HeadPMF → FreeTimeFrom → ProbOnTime), which with Calc.SetExactRho is
-	// the oracle sim.Config.ExactRho runs.
-	FreeTimes *robustness.FreeTimeEngine
+	// FreeTimes answers every free-time quantity of the decision: the
+	// expected free time behind ECT, the free-time distribution, and ρ. It
+	// is required. The engines set the production
+	// robustness.FreeTimeEngine, or robustness.Oracle under
+	// sim.Config.ExactRho.
+	FreeTimes FreeTimes
 
 	// CoreUp, when non-nil, reports whether the core at a flat index is
 	// currently up; BuildCandidates skips down cores entirely. Nil means
@@ -169,6 +164,22 @@ func (ctx *Context) availability(coreIdx int) float64 {
 		return 1
 	}
 	return ctx.Availability(coreIdx)
+}
+
+// FreeTimes is the §IV-B free-time chain of each core, as one decision
+// reads it. q is the core's queue snapshot and now the decision instant.
+// robustness.FreeTimeEngine is the production implementation, caching
+// each core's chain across decisions; robustness.Oracle is the uncached
+// exact-ρ reference.
+type FreeTimes interface {
+	// FreeMean returns the expected instant the core becomes free.
+	FreeMean(coreIdx int, q robustness.CoreQueue, now float64) float64
+	// FreeTime returns the distribution of that instant.
+	FreeTime(coreIdx int, q robustness.CoreQueue, now float64) pmf.PMF
+	// ProbOnTime returns ρ for a task of taskType at P-state ps against
+	// the core's queue. src serves the core's free-time distribution,
+	// memoised per decision, to an implementation that reads it.
+	ProbOnTime(coreIdx int, q robustness.CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64, src robustness.FreeSource) float64
 }
 
 // SystemView is the scheduler's read-only window into the simulator state.
@@ -209,7 +220,7 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 		cands = make([]*Candidate, 0, n*cluster.NumPStates)
 		dec = new(decision)
 	}
-	*dec = decision{model: ctx.Model, calc: ctx.Calc, ft: ctx.FreeTimes, counters: ctx.Counters,
+	*dec = decision{calc: ctx.Calc, ft: ctx.FreeTimes, counters: ctx.Counters,
 		now: ctx.Now, deadline: ctx.Task.Deadline, taskType: ctx.Task.Type}
 	ctx.Counters.addDecision()
 	floor := max(ctx.PStateFloor, cluster.P0)
@@ -275,32 +286,6 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 	}
 	ctx.Counters.addCandidates(len(cands))
 	return cands
-}
-
-// freeMeanByLinearity computes E[free time] without convolutions: the
-// truncated completion mean of the running task (if any) plus the execution
-// means of the waiting tasks. head is the running task's truncated
-// completion PMF (Calculator.HeadPMF) — derived once and shared with the
-// full FreeTime chain, instead of each repeating the Shift+TruncateBelow
-// work. It is the zero PMF when the queue is empty or the head task has
-// not started.
-func freeMeanByLinearity(m *workload.Model, q robustness.CoreQueue, head pmf.PMF, now float64) float64 {
-	if len(q.Tasks) == 0 {
-		return now
-	}
-	mean := 0.0
-	for i, t := range q.Tasks {
-		if i == 0 {
-			if t.Started {
-				mean = head.Mean()
-			} else {
-				mean = now + m.ExecMean(t.Type, q.Node, t.PState)
-			}
-			continue
-		}
-		mean += m.ExecMean(t.Type, q.Node, t.PState)
-	}
-	return mean
 }
 
 // Heuristic selects one assignment from the feasible (post-filter) set.

@@ -64,12 +64,16 @@ func newFixture(t *testing.T, seed uint64) *fixture {
 	}
 }
 
+// ctx is the fixture's decision context. Its free times are the oracle,
+// which holds no state, so the fake view may change a queue between
+// decisions without invalidating anything.
 func (f *fixture) ctx() *Context {
 	return &Context{
 		Now:           f.task.Arrival,
 		Task:          f.task,
 		Model:         f.model,
 		Calc:          f.calc,
+		FreeTimes:     robustness.NewOracle(f.calc),
 		EnergyLeft:    f.model.DefaultEnergyBudget(),
 		TasksLeft:     f.model.Params.WindowSize - 1,
 		AvgQueueDepth: 0.5,

@@ -97,7 +97,7 @@ func (e *engine) faultWorkRemains() bool {
 // reliability filter, and an active brownout stage floors the P-state and
 // caps ζ_mul. All fields stay nil/zero when the features are off.
 func (e *engine) decorateCtx(ctx *sched.Context) {
-	ctx.FreeTimes = e.ftc
+	ctx.FreeTimes = e.ft
 	ctx.Arena = e.arena
 	if e.flt != nil {
 		ctx.CoreUp = e.coreUpFn

@@ -95,12 +95,12 @@ type Config struct {
 	// energy.BrownoutStage / energy.DefaultBrownoutStages. Requires a
 	// finite EnergyBudget; nil reproduces the paper.
 	Brownout []energy.BrownoutStage
-	// ExactRho runs the oracle instead of the production ρ path: no
-	// free-time engine and no lattice — every decision derives each queried
-	// core's sparse §IV-B chain from scratch and evaluates ρ as the direct
-	// double sum P(free + exec <= deadline)
-	// (robustness.Calculator.SetExactRho). An uncached reference, several
-	// times slower than production; it exists to bracket the lattice's
+	// ExactRho puts the oracle, robustness.Oracle, behind the scheduler's
+	// free times instead of the production robustness.FreeTimeEngine: no
+	// cache and no lattice — every decision derives each queried core's
+	// sparse §IV-B chain from scratch and evaluates ρ as the direct double
+	// sum P(free + exec <= deadline). An uncached reference, several times
+	// slower than production; it exists to bracket the lattice's
 	// quantization (EXPERIMENTS.md, golden_test.go), not to run sweeps.
 	ExactRho bool
 }
@@ -299,7 +299,8 @@ type engine struct {
 	processed int // events handled, for periodic cancellation checks
 	trial     *workload.Trial
 	calc      *robustness.Calculator
-	ftc       *robustness.FreeTimeEngine
+	ftc       *robustness.FreeTimeEngine // nil under ExactRho
+	ft        sched.FreeTimes            // ftc, or the oracle; never a nil ftc
 	rand      *randx.Stream
 
 	// Per-decision scratch, overwritten by every decision: the scheduler
@@ -441,11 +442,12 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		},
 	}
 	if cfg.ExactRho {
-		// The oracle is engine-free: ftc stays nil, so sched takes its
-		// per-decision sparse path and the nil engine's hooks are no-ops.
-		e.calc.SetExactRho(true)
+		// The oracle caches nothing: ftc stays nil, and the nil engine's
+		// hooks are no-ops.
+		e.ft = robustness.NewOracle(e.calc)
 	} else {
 		e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.Queues))
+		e.ft = e.ftc
 	}
 	e.arena = sched.NewArena()
 	if eo, ok := cfg.Observer.(EnergyObserver); ok {
