@@ -1,7 +1,7 @@
 package exec
 
-// Event is one timed step of an engine. Kind values are the engine's own
-// constants; at equal times a lower kind pops first.
+// Event is one timed step of an engine. Kind is one of the Ev constants;
+// at equal times a lower kind pops first.
 type Event struct {
 	Time float64
 	Kind int
@@ -26,12 +26,16 @@ func (a *Event) before(b *Event) bool {
 // through container/heap, so no event is boxed into an interface on push
 // or pop.
 type Heap struct {
-	q   []Event
-	seq int
+	q    []Event
+	seq  int
+	high int // the most events ever pending at once
 }
 
 // Len returns the number of pending events.
 func (h *Heap) Len() int { return len(h.q) }
+
+// High returns the most events that were ever pending at once.
+func (h *Heap) High() int { return h.high }
 
 // Push stamps the event's Seq and adds it.
 func (h *Heap) Push(ev Event) {
@@ -39,6 +43,9 @@ func (h *Heap) Push(ev Event) {
 	h.seq++
 	h.q = append(h.q, ev)
 	q := h.q
+	if len(q) > h.high {
+		h.high = len(q)
+	}
 	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !q[i].before(&q[parent]) {
@@ -79,7 +86,7 @@ func (h *Heap) Pop() Event {
 }
 
 // Clear drops every event and restarts the Seq stamps, as a fresh heap
-// would.
+// would. The high-water mark stays.
 func (h *Heap) Clear() {
 	h.q = h.q[:0]
 	h.seq = 0

@@ -195,6 +195,7 @@ type checkpoint struct {
 // snapshot covers, rejects the reject-record count at that cut, and
 // tnRejects the per-tenant slice of those reject records.
 func (e *Engine) snapshotCheckpoint(cut, rejects uint64, tnRejects map[string]uint64) *checkpoint {
+	f := e.Faults
 	ck := &checkpoint{
 		Format:      ckptFormat,
 		ModelHash:   e.model.Hash(),
@@ -219,18 +220,18 @@ func (e *Engine) snapshotCheckpoint(cut, rejects uint64, tnRejects map[string]ui
 		},
 		Decided:       e.decided,
 		NextID:        e.nextID,
-		ReqSeq:        e.reqSeq,
-		Down:          append([]bool(nil), e.down...),
-		RepairAt:      append([]float64(nil), e.repairAt...),
-		Alive:         append([]bool(nil), e.alive...),
+		ReqSeq:        f.ReqSeq,
+		Down:          append([]bool(nil), f.Down...),
+		RepairAt:      append([]float64(nil), f.RepairAt...),
+		Alive:         append([]bool(nil), f.Alive...),
 		Halted:        e.halted.Load(),
-		NextTransient: e.nextTransient,
-		NextPermanent: e.nextPermanent,
-		ScriptFired:   append([]bool(nil), e.scriptFired...),
+		NextTransient: f.NextTransient,
+		NextPermanent: f.NextPermanent,
+		ScriptFired:   append([]bool(nil), f.ScriptFired...),
 		RandDecisions: hexState(e.rand.State()),
-		RandTransient: hexState(e.transientRng.State()),
-		RandPermanent: hexState(e.permanentRng.State()),
-		RandTarget:    hexState(e.targetRng.State()),
+		RandTransient: hexState(f.TransientRng.State()),
+		RandPermanent: hexState(f.PermanentRng.State()),
+		RandTarget:    hexState(f.TargetRng.State()),
 		RandQuant:     hexState(e.quantRn.State()),
 	}
 	for i := range ck.Counters.ShedByReason {
@@ -251,10 +252,10 @@ func (e *Engine) snapshotCheckpoint(cut, rejects uint64, tnRejects map[string]ui
 			}
 		}
 	}
-	for _, slot := range e.requeueSlots() {
-		r := e.requeues[slot]
+	for _, slot := range f.Slots() {
+		r := f.Requeues[slot]
 		ck.Requeues = append(ck.Requeues, ckptRequeue{
-			Slot: slot, Task: toCkptTask(r.task), Att: r.attempts, FireAt: r.fireAt,
+			Slot: slot, Task: toCkptTask(r.Task), Att: r.Attempts, FireAt: r.FireAt,
 		})
 	}
 	if e.brk != nil {

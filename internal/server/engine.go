@@ -252,33 +252,6 @@ type pending struct {
 	probe  bool          // this request is a half-open quarantine probe
 }
 
-// Event kinds, in tie-break priority order at equal virtual times
-// (completions free cores before the failure strikes; repairs land after
-// the fault that caused them; requeues re-enter the mapper last). An
-// event's Idx is the core for completions and repairs, the source for
-// faults and the slot for requeues; a completion's Gen is the core's run
-// generation, so a completion that a failure made stale is ignored.
-const (
-	evCompletion = iota
-	evFault
-	evRepair
-	evRequeue
-)
-
-// Fault event sources (exec.Event.Idx for evFault).
-const (
-	srcTransient = iota
-	srcPermanent
-	srcScript // srcScript+n is scripted entry n
-)
-
-// requeueEntry is a fault-stranded task waiting for its retry dispatch.
-type requeueEntry struct {
-	task     workload.Task
-	attempts int
-	fireAt   float64 // absolute virtual dispatch time (for checkpoints)
-}
-
 // ackPair is one decided request whose reply is held back until the
 // decision's WAL records are durable (group commit).
 type ackPair struct {
@@ -292,43 +265,27 @@ type ackPair struct {
 // sched.SystemView.
 type Engine struct {
 	exec.State
-	cfg   Config
-	clock Clock
-	model *workload.Model
-	calc  *robustness.Calculator
-	ftc   *robustness.FreeTimeEngine
-	bro   *energy.Brownout
-	brk   *breakers
-	rand  *randx.Stream
-	// Independent fault-process streams, mirroring internal/sim's layout so
-	// adding draws to one process never perturbs another.
-	transientRng *randx.Stream
-	permanentRng *randx.Stream
-	targetRng    *randx.Stream
-	quantRn      *randx.Stream
+	cfg     Config
+	clock   Clock
+	model   *workload.Model
+	calc    *robustness.Calculator
+	bro     *energy.Brownout
+	brk     *breakers
+	rand    *randx.Stream
+	quantRn *randx.Stream
 
 	tenants *tenancy
 
-	// Per-decision scratch: the scheduler arena (decision-scoped, and the
-	// event loop is single-goroutine).
-	arena  *sched.Arena
-	runGen []int
-	down   []bool
-	alive  []bool // per node, false after a permanent failure
-	minEET []float64
+	// Per-decision scratch, overwritten by every decision (the event loop
+	// is single-goroutine): the scheduler arena and the decision context.
+	// Its predicates are bound once, at construction.
+	arena    *sched.Arena
+	dctx     sched.Context
+	coreUpFn func(int) bool
+	availFn  func(int) float64 // nil without breakers
+	minEET   []float64
 
-	inSystem int
-	nextID   int
-	requeues map[int]requeueEntry
-	reqSeq   int
-
-	// Fault-process schedule, mirrored out of the event heap so checkpoints
-	// can rebuild it: absolute next firing per stochastic source (0 = none)
-	// and which scripted entries have already fired.
-	repairAt      []float64 // absolute repair event time per core (0 = none)
-	nextTransient float64
-	nextPermanent float64
-	scriptFired   []bool
+	nextID int
 
 	// Durability (zero-valued when Config.WALPath is unset).
 	wal          *wal
@@ -364,7 +321,6 @@ type Engine struct {
 	budgetBits atomic.Uint64 // meter budget (float bits); mirrors the meter
 	// because AdjustBudget makes the budget mutable at runtime
 
-	avail float64 // steady-state availability estimate for the rel filter
 	// idleWindow is how long (virtual time) the idle cluster draw alone
 	// takes to exhaust the budget — the service's maximum lifetime, fixed at
 	// construction. +Inf when unconstrained.
@@ -373,7 +329,6 @@ type Engine struct {
 	counters *sched.Counters
 	met      *serverMetrics
 	shedObs  shedObserver
-	fobs     sim.FaultObserver
 	dobs     sim.DecisionObserver
 	st       stats
 	started  time.Time
@@ -551,41 +506,31 @@ func Prepare(cfg Config) (*Engine, error) {
 	}
 
 	root := randx.NewStream(cfg.Seed)
-	faultRn := root.Child("faults")
 	e := &Engine{
-		State:        exec.NewState(cfg.Model.Cluster, meter, cfg.Observer),
-		cfg:          cfg,
-		clock:        clock,
-		model:        cfg.Model,
-		calc:         robustness.NewCalculator(cfg.Model),
-		rand:         root.Child("decisions"),
-		transientRng: faultRn.Child("transient"),
-		permanentRng: faultRn.Child("permanent"),
-		targetRng:    faultRn.Child("target"),
-		quantRn:      root.Child("quantiles"),
-		requeues:     make(map[int]requeueEntry),
-		admit:        make(chan *pending, cfg.QueueCap),
-		drainCh:      make(chan chan error, 1),
-		syncCh:       make(chan chan struct{}),
-		ckptCh:       make(chan chan error),
-		budgetCh:     make(chan budgetReq),
-		killCh:       make(chan struct{}),
-		stopCh:       make(chan struct{}),
-		doneCh:       make(chan struct{}),
-		avail:        cfg.Faults.Availability(),
-		met:          newServerMetrics(cfg.Metrics),
-		started:      time.Now(),
+		State:    exec.NewState(cfg.Model.Cluster, meter, cfg.IdlePState, cfg.Observer),
+		cfg:      cfg,
+		clock:    clock,
+		model:    cfg.Model,
+		calc:     robustness.NewCalculator(cfg.Model),
+		rand:     root.Child("decisions"),
+		quantRn:  root.Child("quantiles"),
+		admit:    make(chan *pending, cfg.QueueCap),
+		drainCh:  make(chan chan error, 1),
+		syncCh:   make(chan chan struct{}),
+		ckptCh:   make(chan chan error),
+		budgetCh: make(chan budgetReq),
+		killCh:   make(chan struct{}),
+		stopCh:   make(chan struct{}),
+		doneCh:   make(chan struct{}),
+		met:      newServerMetrics(cfg.Metrics),
+		started:  time.Now(),
 	}
-	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.Cores))
+	e.Hooks = hooks{e}
+	e.FT = robustness.NewFreeTimeEngine(e.calc, len(e.Cores))
+	// The failure state is always there, fault-free or not: checkpoints
+	// carry its per-core and per-node rows either way.
+	e.Faults = exec.NewFaultState(cfg.Faults, root.Child("faults"), len(e.Cores), cfg.Model.Cluster.N())
 	e.arena = sched.NewArena()
-	e.runGen = make([]int, len(e.Cores))
-	e.down = make([]bool, len(e.Cores))
-	e.repairAt = make([]float64, len(e.Cores))
-	e.scriptFired = make([]bool, len(cfg.Faults.Script))
-	e.alive = make([]bool, cfg.Model.Cluster.N())
-	for i := range e.alive {
-		e.alive[i] = true
-	}
 	e.minEET = bestCaseEET(cfg.Model)
 	e.budgetBits.Store(math.Float64bits(budget))
 	e.tenants = newTenancy(cfg.Tenants, cfg.QueueCap, cfg.Model.TAvg(), cfg.Metrics)
@@ -595,7 +540,7 @@ func Prepare(cfg Config) (*Engine, error) {
 	}
 	if cfg.Metrics != nil {
 		e.counters = sched.NewCounters(cfg.Metrics, cfg.Mapper.Filters)
-		e.counters.InstrumentFreeTimes(e.ftc)
+		e.counters.InstrumentFreeTimes(e.FT)
 		e.Meter.Instrument(
 			cfg.Metrics.Counter("energy_meter_advances_total"),
 			cfg.Metrics.Counter("energy_pstate_transitions_total"),
@@ -611,11 +556,24 @@ func Prepare(cfg Config) (*Engine, error) {
 	if so, ok := e.cfg.Observer.(shedObserver); ok {
 		e.shedObs = so
 	}
-	if fo, ok := e.cfg.Observer.(sim.FaultObserver); ok {
-		e.fobs = fo
-	}
 	if do, ok := e.cfg.Observer.(sim.DecisionObserver); ok {
 		e.dobs = do
+	}
+	// The decision context's predicates, bound once. A core is a candidate
+	// when it is up and its node's circuit breaker admits traffic at the
+	// decision instant; with breakers armed, availability discounts ρ for
+	// the reliability filter.
+	e.coreUpFn = func(idx int) bool {
+		return !e.Faults.Down[idx] && (e.brk == nil || e.brk.allows(e.Cores[idx].Node, e.dctx.Now))
+	}
+	if e.brk != nil {
+		avail := cfg.Faults.Availability()
+		e.availFn = func(idx int) float64 {
+			if e.Faults.Down[idx] {
+				return 0
+			}
+			return avail
+		}
 	}
 	e.recovering.Store(true)
 	return e, nil
@@ -629,7 +587,7 @@ func (e *Engine) Start() error {
 		return errors.New("server: Start after Close")
 	}
 	if e.needSchedule {
-		e.scheduleFaults()
+		e.ScheduleFaults()
 		e.needSchedule = false
 	}
 	if e.cfg.WALPath != "" && e.wal == nil {
@@ -1153,7 +1111,7 @@ func (e *Engine) walFailed(err error) {
 // loop's next turn — decideTask for admissions, commit for fault requeues,
 // recovery re-decides and the drain — so readers see exact counts.
 func (e *Engine) flushCounts() {
-	e.ftc.Flush()
+	e.FT.Flush()
 	e.counters.Flush()
 }
 
@@ -1225,7 +1183,7 @@ func (e *Engine) PeekNextEventTime() float64 {
 // flushed). Must not be called on an empty heap.
 func (e *Engine) ProcessNextEvent() {
 	ev := e.Events.Pop()
-	if ev.Kind == evFault && e.draining.Load() {
+	if ev.Kind == exec.EvFault && e.draining.Load() {
 		return
 	}
 	e.handle(ev)
@@ -1312,14 +1270,14 @@ func (e *Engine) flush(reason string, rec walRecord) int {
 		}
 		n += q.Len()
 		q.Clear()
-		e.ftc.Invalidate(idx)
+		e.FT.Invalidate(idx)
 	}
-	for _, slot := range e.requeueSlots() {
-		e.fail(e.requeues[slot].task, reason)
+	for _, slot := range e.Faults.Slots() {
+		e.fail(e.Faults.Requeues[slot].Task, reason)
 		n++
 	}
-	clear(e.requeues)
-	e.inSystem = 0
+	clear(e.Faults.Requeues)
+	e.InSystem = 0
 	e.updInflight()
 	e.Events.Clear()
 	if rec.N = n; n > 0 || rec.K == wkHalt {
@@ -1330,7 +1288,7 @@ func (e *Engine) flush(reason string, rec walRecord) int {
 
 // pendingWork counts tasks mapped but not yet terminal: occupying core
 // queues or stranded awaiting a fault retry.
-func (e *Engine) pendingWork() int { return e.inSystem + len(e.requeues) }
+func (e *Engine) pendingWork() int { return e.InSystem + len(e.Faults.Requeues) }
 
 // updInflight republishes the in-flight count after any change.
 func (e *Engine) updInflight() {
@@ -1346,16 +1304,16 @@ func (e *Engine) handle(ev exec.Event) {
 		return
 	}
 	switch ev.Kind {
-	case evCompletion:
-		if ev.Gen == e.runGen[ev.Idx] {
-			e.complete(ev.Time, ev.Idx)
+	case exec.EvCompletion:
+		if !e.Stale(ev) {
+			e.CompleteHead(ev.Time, ev.Idx)
 		}
-	case evFault:
-		e.handleFault(ev.Time, ev.Idx)
-	case evRepair:
-		e.handleRepair(ev.Time, ev.Idx)
-	case evRequeue:
-		e.handleRequeue(ev.Time, ev.Idx)
+	case exec.EvFault:
+		e.FireFault(ev.Time, ev.Idx)
+	case exec.EvRepair:
+		e.Repair(ev.Time, ev.Idx)
+	case exec.EvRequeue:
+		e.FireRequeue(ev.Time, ev.Idx)
 	}
 }
 
@@ -1512,27 +1470,21 @@ func (e *Engine) shed(now float64, task workload.Task, reason string, wait time.
 // configured filter chain (plus the request's own energy cap), then the
 // heuristic's choice.
 func (e *Engine) mapTask(now float64, task workload.Task, maxEnergy *float64) *sched.Candidate {
-	ctx := &sched.Context{
+	ctx := &e.dctx
+	*ctx = sched.Context{
 		Now:           now,
 		Task:          task,
 		Model:         e.model,
 		Calc:          e.calc,
 		EnergyLeft:    e.Meter.Remaining(),
 		TasksLeft:     e.cfg.Horizon,
-		AvgQueueDepth: float64(e.inSystem) / float64(len(e.Cores)),
+		AvgQueueDepth: float64(e.InSystem) / float64(len(e.Cores)),
 		Rand:          e.rand,
 		Counters:      e.counters,
-		FreeTimes:     e.ftc,
+		FreeTimes:     e.FT,
 		Arena:         e.arena,
-		CoreUp:        e.coreUp(now),
-	}
-	if e.brk != nil {
-		ctx.Availability = func(coreIdx int) float64 {
-			if e.down[coreIdx] {
-				return 0
-			}
-			return e.avail
-		}
+		CoreUp:        e.coreUpFn,
+		Availability:  e.availFn,
 	}
 	if cur := e.currentStage(); cur != nil {
 		ctx.PStateFloor = cur.PStateFloor
@@ -1553,20 +1505,6 @@ func (e *Engine) mapTask(now float64, task workload.Task, maxEnergy *float64) *s
 	return mapper.Map(ctx, cands)
 }
 
-// coreUp builds the candidate-eligibility predicate for time now: the core
-// is physically up and its node's circuit breaker admits traffic.
-func (e *Engine) coreUp(now float64) func(int) bool {
-	return func(idx int) bool {
-		if e.down[idx] {
-			return false
-		}
-		if e.brk != nil && !e.brk.allows(e.Cores[idx].Node, now) {
-			return false
-		}
-		return true
-	}
-}
-
 // place enqueues a mapped task on its core and starts it if the core is
 // free. attempts carries the fault-retry count for requeued tasks.
 func (e *Engine) place(now float64, task workload.Task, chosen *sched.Candidate, attempts int) {
@@ -1580,8 +1518,8 @@ func (e *Engine) place(now float64, task workload.Task, chosen *sched.Candidate,
 	e.walMap(now, task, idx, chosen.PState, actual, attempts)
 	q := &e.Queues[idx]
 	q.Push(exec.Entry{Task: task, Actual: actual, Attempts: attempts}, chosen.PState)
-	e.ftc.OnEnqueue(idx, chosen.Core.Node, task.Type, chosen.PState, q.Len())
-	e.inSystem++
+	e.FT.OnEnqueue(idx, chosen.Core.Node, task.Type, chosen.PState, q.Len())
+	e.InSystem++
 	e.st.assigned.Add(1)
 	e.updInflight()
 	if e.brk != nil {
@@ -1589,31 +1527,29 @@ func (e *Engine) place(now float64, task workload.Task, chosen *sched.Candidate,
 	}
 	e.cfg.Observer.TaskMapped(now, task, chosen.Assignment)
 	if q.Len() == 1 {
-		e.start(now, idx)
+		e.StartHead(now, idx)
 	}
 }
 
-// start begins executing the head of a core's queue.
-func (e *Engine) start(now float64, coreIdx int) {
-	e.ftc.Invalidate(coreIdx) // the head gains Started/StartAt
-	q := &e.Queues[coreIdx]
-	ps, head := q.Snap[0].PState, &q.Run[0]
-	e.SetPState(now, coreIdx, ps)
-	q.Start(now)
-	e.walAppend(&walRecord{K: wkStart, T: now, ID: head.Task.ID, Core: coreIdx, PS: int(ps)})
-	e.cfg.Observer.TaskStarted(now, head.Task, e.Assignment(coreIdx, ps))
-	e.Events.Push(exec.Event{Time: now + head.Actual, Kind: evCompletion, Idx: coreIdx, Gen: e.runGen[coreIdx]})
+// hooks is the serving engine's side of the cluster lifecycle
+// (exec.Hooks): WAL records, breakers, stats and tenant counters and, in
+// faults.go, what a fault step logs and how a retry is mapped again.
+type hooks struct{ *Engine }
+
+// Started logs the start; a serving core never parks, so nothing delays
+// the completion. Start and finish records escape into the log, so they
+// are built only when the WAL is armed.
+func (e hooks) Started(now float64, idx int, ps cluster.PState, head *exec.Entry) float64 {
+	if e.walOn() {
+		e.walAppend(&walRecord{K: wkStart, T: now, ID: head.Task.ID, Core: idx, PS: int(ps)})
+	}
+	return 0
 }
 
-// complete retires the head of a core's queue.
-func (e *Engine) complete(now float64, coreIdx int) {
-	q := &e.Queues[coreIdx]
-	head, ps := q.Run[0].Task, q.Snap[0].PState
-	q.PopFront()
-	e.ftc.Invalidate(coreIdx)
-	e.inSystem--
+// Finished counts the verdict for the service and the task's tenant, logs
+// it, and tells the node's breaker of the success.
+func (e hooks) Finished(now float64, idx int, task workload.Task, onTime bool) {
 	e.updInflight()
-	onTime := now <= head.Deadline
 	if onTime {
 		e.st.onTime.Add(1)
 		e.met.completedOn.Inc()
@@ -1621,18 +1557,14 @@ func (e *Engine) complete(now float64, coreIdx int) {
 		e.st.late.Add(1)
 		e.met.completedLate.Inc()
 	}
-	e.tenantCompleted(head, onTime)
-	e.walAppend(&walRecord{K: wkFinish, T: now, ID: head.ID, Core: coreIdx, OK: onTime})
+	e.tenantCompleted(task, onTime)
+	if e.walOn() {
+		e.walAppend(&walRecord{K: wkFinish, T: now, ID: task.ID, Core: idx, OK: onTime})
+	}
 	if e.brk != nil {
 		snap := e.brkSnap()
-		e.brk.onSuccess(e.Cores[coreIdx].Node)
+		e.brk.onSuccess(e.Cores[idx].Node)
 		e.walBreakerDiff(now, snap)
-	}
-	e.cfg.Observer.TaskFinished(now, head, e.Assignment(coreIdx, ps), onTime)
-	if q.Len() > 0 {
-		e.start(now, coreIdx)
-	} else {
-		e.SetPState(now, coreIdx, e.cfg.IdlePState)
 	}
 }
 

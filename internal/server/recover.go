@@ -181,7 +181,7 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 		// (same seed, same streams), then let the canonical rebuild below
 		// discard and reconstruct the events.
 		if e.needSchedule {
-			e.scheduleFaults()
+			e.ScheduleFaults()
 		}
 		e.incarnation = 1
 	}
@@ -236,7 +236,7 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 				ms.States[idx] = q.Snap[0].PState
 			}
 			ms.Override[idx] = -1
-			if e.down[idx] {
+			if e.Faults.Down[idx] {
 				ms.Override[idx] = 0
 			}
 		}
@@ -267,7 +267,7 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 	for idx := range e.Queues {
 		n += e.Queues[idx].Len()
 	}
-	e.inSystem = n
+	e.InSystem = n
 	e.updInflight()
 
 	// Brownout: the stage is a pure monotone function of consumed/budget,
@@ -294,19 +294,19 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 	e.walDead = false
 
 	// Danglers: finish every interrupted disposition through the real
-	// engine methods. recoverTask is deterministic given (time, task,
+	// engine methods. Recover is deterministic given (time, task,
 	// attempts); a re-run retry re-draws from the restored decision stream
 	// state, reproducing the lost draws exactly.
 	rep.Danglers = len(rs.limbo) + len(rs.retries)
 	for _, le := range rs.limbo {
-		e.recoverTask(le.at, le.task, le.attempts)
+		e.Recover(le.at, le.task, le.attempts)
 	}
 	for _, rt := range rs.retries {
 		snap := e.brkSnap()
 		if chosen := e.mapTask(rt.at, rt.task, nil); chosen != nil {
 			e.place(rt.at, rt.task, chosen, rt.attempts)
 		} else {
-			e.recoverTask(rt.at, rt.task, rt.attempts)
+			e.Recover(rt.at, rt.task, rt.attempts)
 		}
 		e.walBreakerDiff(rt.at, snap)
 	}
@@ -366,10 +366,11 @@ func (e *Engine) checkIdentity(modelHash string, seed uint64, policy, src string
 
 // restoreCheckpoint installs a checkpoint's snapshot into a prepared engine.
 func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
-	if len(ck.Down) != len(e.down) || len(ck.Alive) != len(e.alive) ||
-		len(ck.Queues) != len(e.Queues) || len(ck.RepairAt) != len(e.repairAt) {
+	f := e.Faults
+	if len(ck.Down) != len(f.Down) || len(ck.Alive) != len(f.Alive) ||
+		len(ck.Queues) != len(e.Queues) || len(ck.RepairAt) != len(f.RepairAt) {
 		return fmt.Errorf("server: checkpoint shape (%d cores, %d nodes) does not match the model (%d cores, %d nodes)",
-			len(ck.Down), len(ck.Alive), len(e.down), len(e.alive))
+			len(ck.Down), len(ck.Alive), len(f.Down), len(f.Alive))
 	}
 	e.incarnation = ck.Incarnation
 	c := ck.Counters
@@ -388,10 +389,10 @@ func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
 	}
 	e.decided = ck.Decided
 	e.nextID = ck.NextID
-	e.reqSeq = ck.ReqSeq
-	copy(e.down, ck.Down)
-	copy(e.repairAt, ck.RepairAt)
-	copy(e.alive, ck.Alive)
+	f.ReqSeq = ck.ReqSeq
+	copy(f.Down, ck.Down)
+	copy(f.RepairAt, ck.RepairAt)
+	copy(f.Alive, ck.Alive)
 	for idx := range e.Queues {
 		q := &e.Queues[idx]
 		q.Clear()
@@ -401,9 +402,9 @@ func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
 			snap.Started, snap.StartAt = c.Started, c.StartAt
 		}
 	}
-	e.requeues = make(map[int]requeueEntry, len(ck.Requeues))
+	f.Requeues = make(map[int]exec.Requeued, len(ck.Requeues))
 	for _, r := range ck.Requeues {
-		e.requeues[r.Slot] = requeueEntry{task: r.Task.task(), attempts: r.Att, fireAt: r.FireAt}
+		f.Requeues[r.Slot] = exec.Requeued{Task: r.Task.task(), Attempts: r.Att, FireAt: r.FireAt}
 	}
 	if e.brk != nil {
 		if len(ck.Breakers) != len(e.brk.nodes) {
@@ -450,17 +451,17 @@ func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
 		ts.mu.Unlock()
 	}
 	e.halted.Store(ck.Halted)
-	e.nextTransient = ck.NextTransient
-	e.nextPermanent = ck.NextPermanent
-	copy(e.scriptFired, ck.ScriptFired)
+	f.NextTransient = ck.NextTransient
+	f.NextPermanent = ck.NextPermanent
+	copy(f.ScriptFired, ck.ScriptFired)
 	for _, s := range []struct {
 		stream *randx.Stream
 		hexs   string
 	}{
 		{e.rand, ck.RandDecisions},
-		{e.transientRng, ck.RandTransient},
-		{e.permanentRng, ck.RandPermanent},
-		{e.targetRng, ck.RandTarget},
+		{f.TransientRng, ck.RandTransient},
+		{f.PermanentRng, ck.RandPermanent},
+		{f.TargetRng, ck.RandTarget},
 		{e.quantRn, ck.RandQuant},
 	} {
 		if err := setHexState(s.stream, s.hexs); err != nil {
@@ -603,20 +604,20 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 			e.st.late.Add(1)
 		}
 	case wkRetry:
-		ent, ok := e.requeues[r.Slot]
+		ent, ok := e.Faults.Requeues[r.Slot]
 		if !ok {
 			return fmt.Errorf("retry fired for unknown slot %d", r.Slot)
 		}
-		delete(e.requeues, r.Slot)
+		delete(e.Faults.Requeues, r.Slot)
 		e.st.retries.Add(1)
-		rs.retries = append(rs.retries, limboEntry{task: ent.task, attempts: ent.attempts, at: r.T})
+		rs.retries = append(rs.retries, limboEntry{task: ent.Task, attempts: ent.Attempts, at: r.T})
 	case wkRequeue:
 		if err := setHexState(e.rand, r.DS); err != nil {
 			return err
 		}
-		e.requeues[r.Slot] = requeueEntry{task: recTask(r), attempts: r.Att, fireAt: r.FT}
-		if r.Slot >= e.reqSeq {
-			e.reqSeq = r.Slot + 1
+		e.Faults.Requeues[r.Slot] = exec.Requeued{Task: recTask(r), Attempts: r.Att, FireAt: r.FT}
+		if r.Slot >= e.Faults.ReqSeq {
+			e.Faults.ReqSeq = r.Slot + 1
 		}
 		rs.limbo = dropEntry(rs.limbo, r.ID)
 		rs.retries = dropEntry(rs.retries, r.ID)
@@ -630,70 +631,71 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 		rs.retries = dropEntry(rs.retries, r.ID)
 	case wkFault:
 		e.st.faults.Add(1)
-		if err := setHexState(e.targetRng, r.TGS); err != nil {
+		if err := setHexState(e.Faults.TargetRng, r.TGS); err != nil {
 			return err
 		}
 		if !r.AP {
 			break
 		}
 		if r.Src == "permanent" {
-			if r.Node < 0 || r.Node >= len(e.alive) {
+			if r.Node < 0 || r.Node >= len(e.Faults.Alive) {
 				return fmt.Errorf("node %d out of range", r.Node)
 			}
-			e.alive[r.Node] = false
+			e.Faults.Alive[r.Node] = false
 			for idx, id := range e.Cores {
 				if id.Node == r.Node {
 					rs.strand(e, idx, r.T)
 				}
 			}
 		} else {
-			if r.Core < 0 || r.Core >= len(e.down) {
+			if r.Core < 0 || r.Core >= len(e.Queues) {
 				return fmt.Errorf("core %d out of range", r.Core)
 			}
 			rs.strand(e, r.Core, r.T)
-			e.repairAt[r.Core] = r.RP
+			e.Faults.RepairAt[r.Core] = r.RP
 		}
 	case wkFsched:
+		f := e.Faults
 		switch r.Src {
 		case "transient":
 			if r.TRS != "" {
-				if err := setHexState(e.transientRng, r.TRS); err != nil {
+				if err := setHexState(f.TransientRng, r.TRS); err != nil {
 					return err
 				}
 			}
 			if r.TGS != "" {
-				if err := setHexState(e.targetRng, r.TGS); err != nil {
+				if err := setHexState(f.TargetRng, r.TGS); err != nil {
 					return err
 				}
 			}
-			e.nextTransient = r.NX
+			f.NextTransient = r.NX
 		case "permanent":
 			if r.PRS != "" {
-				if err := setHexState(e.permanentRng, r.PRS); err != nil {
+				if err := setHexState(f.PermanentRng, r.PRS); err != nil {
 					return err
 				}
 			}
 			if r.TGS != "" {
-				if err := setHexState(e.targetRng, r.TGS); err != nil {
+				if err := setHexState(f.TargetRng, r.TGS); err != nil {
 					return err
 				}
 			}
-			e.nextPermanent = r.NX
+			f.NextPermanent = r.NX
 		case "script":
-			if r.SI < 0 || r.SI >= len(e.scriptFired) {
+			if r.SI < 0 || r.SI >= len(f.ScriptFired) {
 				return fmt.Errorf("script index %d out of range", r.SI)
 			}
-			e.scriptFired[r.SI] = true
+			f.ScriptFired[r.SI] = true
 		default:
 			return fmt.Errorf("unknown fault source %q", r.Src)
 		}
 	case wkRepair:
-		if r.Core < 0 || r.Core >= len(e.down) {
+		if r.Core < 0 || r.Core >= len(e.Queues) {
 			return fmt.Errorf("core %d out of range", r.Core)
 		}
-		e.repairAt[r.Core] = 0
+		e.Faults.RepairAt[r.Core] = 0
 		if r.AP {
-			e.down[r.Core] = false
+			e.Faults.Down[r.Core] = false
 		}
 	case wkBreaker:
 		if e.brk == nil || r.Node < 0 || r.Node >= len(e.brk.nodes) {
@@ -731,10 +733,10 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 // strand mirrors downCore's structural effect: the core goes down and its
 // queue moves into limbo awaiting each task's durable disposition.
 func (rs *replayState) strand(e *Engine, idx int, at float64) {
-	if e.down[idx] {
+	if e.Faults.Down[idx] {
 		return
 	}
-	e.down[idx] = true
+	e.Faults.Down[idx] = true
 	q := &e.Queues[idx]
 	for _, ent := range q.Run {
 		rs.limbo = append(rs.limbo, limboEntry{task: ent.Task, attempts: ent.Attempts, at: at})
@@ -767,10 +769,10 @@ func (rs *replayState) clearInFlight(e *Engine) {
 		}
 		q.Clear()
 	}
-	for _, r := range e.requeues {
-		e.tenantFailed(r.task)
+	for _, r := range e.Faults.Requeues {
+		e.tenantFailed(r.Task)
 	}
-	clear(e.requeues)
+	clear(e.Faults.Requeues)
 	rs.limbo = nil
 	rs.retries = nil
 }
@@ -786,28 +788,10 @@ func (e *Engine) rebuildEvents() {
 	}
 	for idx := range e.Queues {
 		if q := &e.Queues[idx]; q.Len() > 0 && q.Snap[0].Started {
-			e.Events.Push(exec.Event{Time: q.Snap[0].StartAt + q.Run[0].Actual, Kind: evCompletion, Idx: idx, Gen: e.runGen[idx]})
+			e.Events.Push(exec.Event{Time: q.Snap[0].StartAt + q.Run[0].Actual, Kind: exec.EvCompletion, Idx: idx, Gen: e.Faults.RunGen[idx]})
 		}
 	}
-	if e.nextTransient > 0 {
-		e.Events.Push(exec.Event{Time: e.nextTransient, Kind: evFault, Idx: srcTransient})
-	}
-	if e.nextPermanent > 0 {
-		e.Events.Push(exec.Event{Time: e.nextPermanent, Kind: evFault, Idx: srcPermanent})
-	}
-	for i, sf := range e.cfg.Faults.Script {
-		if !e.scriptFired[i] {
-			e.Events.Push(exec.Event{Time: sf.Time, Kind: evFault, Idx: srcScript + i})
-		}
-	}
-	for idx := range e.down {
-		if e.down[idx] && e.repairAt[idx] > 0 {
-			e.Events.Push(exec.Event{Time: e.repairAt[idx], Kind: evRepair, Idx: idx})
-		}
-	}
-	for _, s := range e.requeueSlots() {
-		e.Events.Push(exec.Event{Time: e.requeues[s].fireAt, Kind: evRequeue, Idx: s})
-	}
+	e.PushFaultEvents()
 }
 
 // DrainNow runs the graceful drain inline on the caller's goroutine without

@@ -71,6 +71,44 @@ func submitType(t *testing.T, eng *Engine, ty int) Decision {
 	return d
 }
 
+// TestSubmitAdvanceAllocs pins the heap allocations of one decision and
+// the events it triggers, on a WAL-off ManualClock engine that is prepared
+// but not started, so the test goroutine steps it alone: the decision
+// context and its predicates are bound once, and start and finish build no
+// WAL record while the WAL is off. What is left per step is the
+// client-visible decision (its AssignmentView and core name).
+func TestSubmitAdvanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	m := buildModel(t, 1)
+	clk := NewManualClock()
+	eng, err := Prepare(Config{Model: m, Mapper: testMapper(sched.NoFilter), Clock: clk, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	p := &pending{resp: make(chan Decision, 1)}
+	i := 0
+	step := func() {
+		p.req = TaskRequest{Type: i % m.Params.TaskTypes}
+		p.wallAt = time.Now()
+		eng.decide(p)
+		if d := <-p.resp; d.Status != StatusMapped {
+			t.Fatalf("step %d: status %v (reason %q), want mapped", i, d.Status, d.Reason)
+		}
+		clk.Advance(m.TAvg())
+		eng.runDue(clk.Now())
+		i++
+	}
+	for range 100 { // warm the arena, queues and event heap
+		step()
+	}
+	if n := testing.AllocsPerRun(200, step); n > 3 {
+		t.Fatalf("submit plus advance: %v allocs/op, want <= 3", n)
+	}
+}
+
 func TestEngineMapsAndCompletes(t *testing.T) {
 	m := buildModel(t, 1)
 	eng, clk := newTestEngine(t, m, nil)

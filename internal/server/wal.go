@@ -65,15 +65,15 @@ const (
 	wkShed     = "shed"     // decide/re-decide: admission pipeline rejection
 	wkTimeout  = "timeout"  // decide: request-timeout expiry
 	wkMap      = "map"      // place: assignment issued (first or retry)
-	wkStart    = "start"    // start: queue head began executing
-	wkFinish   = "finish"   // complete: queue head retired
-	wkRetry    = "retry"    // handleRequeue: requeue slot fired
-	wkRequeue  = "requeue"  // recoverTask: stranded task scheduled for retry
-	wkFail     = "fail"     // recoverTask: stranded task lost for good
-	wkFault    = "fault"    // injectFault: failure struck
-	wkKill     = "kill"     // downCore: queued task killed by the failure
-	wkFsched   = "fsched"   // handleFault: fault process rescheduled
-	wkRepair   = "repair"   // handleRepair: core back up
+	wkStart    = "start"    // hooks.Started: queue head began executing
+	wkFinish   = "finish"   // hooks.Finished: queue head retired
+	wkRetry    = "retry"    // hooks.Retry: requeue slot fired
+	wkRequeue  = "requeue"  // hooks.Requeued: stranded task scheduled for retry
+	wkFail     = "fail"     // hooks.Lost: stranded task lost for good
+	wkFault    = "fault"    // hooks.Struck: failure struck
+	wkKill     = "kill"     // hooks.Stranded: queued task killed by the failure
+	wkFsched   = "fsched"   // hooks.Fired: fault process rescheduled
+	wkRepair   = "repair"   // hooks.Repaired: core back up (or left dead)
 	wkBreaker  = "breaker"  // breaker automaton transition (full new state)
 	wkBrownout = "brownout" // advance: brownout stage change
 	wkEnergy   = "energy"   // advance: periodic energy debit record

@@ -95,7 +95,7 @@ func validateCentral(cfg Config) error {
 // empty queue, or -1 when every core is busy or down.
 func (e *engine) idleCore() int {
 	for idx := range e.Queues {
-		if e.Queues[idx].Len() == 0 && !e.coreDown(idx) {
+		if e.Queues[idx].Len() == 0 && !e.CoreDown(idx) {
 			return idx
 		}
 	}
@@ -126,8 +126,9 @@ func (e *engine) dispatch(now float64) {
 				ps = st.PStateFloor
 			}
 		}
-		task := e.pool[pick]
+		task, attempts := e.pool[pick], e.poolAtt[pick]
 		e.pool = append(e.pool[:pick], e.pool[pick+1:]...)
+		e.poolAtt = append(e.poolAtt[:pick], e.poolAtt[pick+1:]...)
 
 		exec := e.cfg.Model.ExecPMF(task.Type, node, ps)
 		eec := exec.Mean() * e.cfg.Model.Cluster.Node(e.Cores[coreIdx]).Power[ps] /
@@ -143,6 +144,6 @@ func (e *engine) dispatch(now float64) {
 				P50:  comp.Quantile(0.5),
 				P99:  comp.Quantile(0.99),
 			}
-		})
+		}, attempts)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -44,19 +45,9 @@ type EnergyObserver interface {
 
 // FaultObserver is an optional Observer extension for runs with fault
 // injection: implementations additionally see failures, repairs, killed
-// tasks, and requeue decisions. repair is the scheduled down interval for
-// transient faults and 0 for permanent ones.
-type FaultObserver interface {
-	CoreFailed(t float64, core cluster.CoreID, kind fault.Kind, repair float64)
-	CoreRepaired(t float64, core cluster.CoreID)
-	// TaskKilled fires for every task stranded on the failed core (running
-	// or waiting); whether it is lost or retried is reported separately via
-	// TaskRequeued / the task's final outcome.
-	TaskKilled(t float64, task workload.Task, core cluster.CoreID)
-	// TaskRequeued fires when the recovery policy schedules a retry;
-	// attempt counts from 1.
-	TaskRequeued(t float64, task workload.Task, attempt int)
-}
+// tasks, and requeue decisions. The cluster lifecycle in internal/exec
+// emits them, for the simulator and the server alike.
+type FaultObserver = exec.FaultObserver
 
 // BrownoutObserver is an optional Observer extension for runs with a
 // brownout schedule: stage transitions as the budget drains (stage counts
@@ -230,7 +221,7 @@ var backlogBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 // once in Run, bumped on the event loop. A nil *simMetrics (no registry
 // attached) makes every method a no-op.
 type simMetrics struct {
-	events        [numEventKinds]*metrics.Counter // indexed by event kind
+	events        [exec.NumEventKinds]*metrics.Counter // indexed by event kind
 	heapHW        *metrics.Max
 	backlog       *metrics.Histogram
 	mapped        *metrics.Counter
@@ -255,13 +246,13 @@ func newSimMetrics(r *metrics.Registry) *simMetrics {
 		return nil
 	}
 	return &simMetrics{
-		events: [numEventKinds]*metrics.Counter{
-			evCompletion: r.Counter("sim_events_total", metrics.L("kind", "completion")),
-			evArrival:    r.Counter("sim_events_total", metrics.L("kind", "arrival")),
-			evPark:       r.Counter("sim_events_total", metrics.L("kind", "park")),
-			evFault:      r.Counter("sim_events_total", metrics.L("kind", "fault")),
-			evRepair:     r.Counter("sim_events_total", metrics.L("kind", "repair")),
-			evRequeue:    r.Counter("sim_events_total", metrics.L("kind", "requeue")),
+		events: [exec.NumEventKinds]*metrics.Counter{
+			exec.EvCompletion: r.Counter("sim_events_total", metrics.L("kind", "completion")),
+			exec.EvArrival:    r.Counter("sim_events_total", metrics.L("kind", "arrival")),
+			exec.EvPark:       r.Counter("sim_events_total", metrics.L("kind", "park")),
+			exec.EvFault:      r.Counter("sim_events_total", metrics.L("kind", "fault")),
+			exec.EvRepair:     r.Counter("sim_events_total", metrics.L("kind", "repair")),
+			exec.EvRequeue:    r.Counter("sim_events_total", metrics.L("kind", "requeue")),
 		},
 		heapHW:    r.Max("sim_event_heap_high_water"),
 		backlog:   r.Histogram("sim_backlog_depth", backlogBuckets),

@@ -143,12 +143,8 @@ type Observer interface {
 	TaskMapped(t float64, task workload.Task, a sched.Assignment)
 	// TaskDiscarded fires when filters eliminate every assignment.
 	TaskDiscarded(t float64, task workload.Task)
-	// TaskStarted fires when a core begins executing a task.
-	TaskStarted(t float64, task workload.Task, a sched.Assignment)
-	// TaskFinished fires at completion; onTime reports deadline success.
-	TaskFinished(t float64, task workload.Task, a sched.Assignment, onTime bool)
-	// PStateChanged fires on every core P-state transition.
-	PStateChanged(t float64, core cluster.CoreID, ps cluster.PState)
+	// TaskStarted, TaskFinished and PStateChanged: the cluster lifecycle.
+	exec.Observer
 	// EnergyExhausted fires once if ζ_max runs out; the run halts.
 	EnergyExhausted(t float64)
 }
@@ -271,27 +267,8 @@ type Result struct {
 	Traces []TaskTrace
 }
 
-// event kinds, in tie-break priority order at equal times: completions
-// free cores before a simultaneous arrival is mapped, and a core is handed
-// work before a simultaneous park fires. The fault kinds sort after the
-// paper's kinds so that, at equal times, normal progress happens before the
-// failure strikes, a repair lands after the fault that caused it, and a
-// requeued task re-enters the mapper last. An event's Idx is the task index
-// for arrivals and requeues, the core for completions, parks and repairs,
-// and the fault source for faults; Gen marks stale park and (post-failure)
-// completion events.
-const (
-	evCompletion = iota
-	evArrival
-	evPark
-	evFault
-	evRepair
-	evRequeue
-	numEventKinds
-)
-
 // engine is the run state. Its embedded cluster state implements
-// sched.SystemView.
+// sched.SystemView; hooks is its side of the cluster lifecycle.
 type engine struct {
 	exec.State
 	cfg       Config
@@ -299,8 +276,7 @@ type engine struct {
 	processed int // events handled, for periodic cancellation checks
 	trial     *workload.Trial
 	calc      *robustness.Calculator
-	ftc       *robustness.FreeTimeEngine // nil under ExactRho
-	ft        sched.FreeTimes            // ftc, or the oracle; never a nil ftc
+	ft        sched.FreeTimes // State.FT, or the oracle under ExactRho
 	rand      *randx.Stream
 
 	// Per-decision scratch, overwritten by every decision: the scheduler
@@ -310,8 +286,7 @@ type engine struct {
 	dctx  sched.Context
 
 	energyLeft    float64 // heuristic estimate ζ(t_l)
-	inSystem      int     // mapped, not yet completed
-	depthIntegral float64 // ∫ inSystem dt
+	depthIntegral float64 // ∫ backlog dt
 	lastT         float64
 
 	powerRand *randx.Stream // per-execution power draws (PowerCV extension)
@@ -319,25 +294,25 @@ type engine struct {
 	idleGen   []int // invalidates stale park events
 	parkedAt  []float64
 
-	arrived int           // arrival events processed, for requeue T_left
-	flt     *faultRuntime // nil when fault injection is disabled
+	arrived int // arrival events processed, for requeue T_left
 	bro     *energy.Brownout
-	// Cached context decorations so fault-enabled dispatch does not
-	// allocate per arrival; nil when faults are disabled.
+	// Decision-context predicates, bound once so fault-enabled dispatch
+	// does not allocate per arrival: down cores drop out of candidate
+	// enumeration and availability discounts ρ for the reliability
+	// filter. Nil when faults are disabled.
 	coreUpFn func(int) bool
 	availFn  func(int) float64
 
 	// Central-queue mode (Config.CentralQueue): arrivals and retries wait
-	// in pool until dispatch hands them to an idle core. central is nil in
-	// immediate mode, and pool then stays empty.
+	// in pool until dispatch hands them to an idle core, with poolAtt the
+	// retries each has consumed. central is nil in immediate mode, and
+	// the pool then stays empty.
 	central PullPolicy
 	pool    []workload.Task
-
-	pendingReq int // requeue events in flight, for fault-loop termination
+	poolAtt []int
 
 	met  *simMetrics    // nil when Config.Metrics is nil
 	eobs EnergyObserver // non-nil when the observer wants energy samples
-	fobs FaultObserver  // non-nil when the observer wants fault events
 	bobs BrownoutObserver
 	dobs DecisionObserver // non-nil when the observer audits decisions
 
@@ -432,7 +407,7 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		cfg:        cfg,
 		ctx:        ctx,
 		trial:      trial,
-		State:      exec.NewState(cfg.Model.Cluster, meter, cfg.Observer),
+		State:      exec.NewState(cfg.Model.Cluster, meter, cfg.IdlePState, cfg.Observer),
 		calc:       robustness.NewCalculator(cfg.Model),
 		rand:       decisions,
 		energyLeft: budget,
@@ -441,20 +416,18 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 			Window: len(trial.Tasks),
 		},
 	}
+	e.Hooks = hooks{e}
 	if cfg.ExactRho {
-		// The oracle caches nothing: ftc stays nil, and the nil engine's
-		// hooks are no-ops.
+		// The oracle caches nothing: FT stays nil, and the nil engine's
+		// methods are no-ops.
 		e.ft = robustness.NewOracle(e.calc)
 	} else {
-		e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.Queues))
-		e.ft = e.ftc
+		e.FT = robustness.NewFreeTimeEngine(e.calc, len(e.Queues))
+		e.ft = e.FT
 	}
 	e.arena = sched.NewArena()
 	if eo, ok := cfg.Observer.(EnergyObserver); ok {
 		e.eobs = eo
-	}
-	if fo, ok := cfg.Observer.(FaultObserver); ok {
-		e.fobs = fo
 	}
 	if bo, ok := cfg.Observer.(BrownoutObserver); ok {
 		e.bobs = bo
@@ -469,7 +442,7 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		}
 		e.met = newSimMetrics(cfg.Metrics)
 		e.met.sched = sched.NewCounters(cfg.Metrics, filters)
-		e.met.sched.InstrumentFreeTimes(e.ftc)
+		e.met.sched.InstrumentFreeTimes(e.FT)
 		e.calc.Instrument(
 			cfg.Metrics.Counter("robustness_freetime_evals_total"),
 			cfg.Metrics.Counter("robustness_completion_evals_total"))
@@ -493,29 +466,28 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		e.parkedAt = make([]float64, len(e.Queues))
 		// Every core is idle at t=0; schedule the initial park checks.
 		for i := range e.Queues {
-			e.push(exec.Event{Time: cfg.Park.Timeout, Kind: evPark, Idx: i, Gen: 0})
+			e.Events.Push(exec.Event{Time: cfg.Park.Timeout, Kind: exec.EvPark, Idx: i, Gen: 0})
 		}
 	}
 	if faultsOn {
-		e.initFaults(decisions)
+		e.Faults = exec.NewFaultState(cfg.Faults, decisions.Child("fault"), len(e.Cores), cfg.Model.Cluster.N())
+		avail := cfg.Faults.Availability()
+		e.coreUpFn = func(idx int) bool { return !e.Faults.Down[idx] }
+		e.availFn = func(int) float64 { return avail }
+		e.ScheduleFaults()
 	}
 	if len(cfg.Brownout) > 0 {
 		// Validated above; NewBrownout re-checks but cannot fail here.
 		e.bro, _ = energy.NewBrownout(cfg.Brownout)
 	}
 	for i, t := range trial.Tasks {
-		e.push(exec.Event{Time: t.Arrival, Kind: evArrival, Idx: i})
+		e.Events.Push(exec.Event{Time: t.Arrival, Kind: exec.EvArrival, Idx: i})
 	}
 	if err := e.loop(); err != nil {
 		return nil, err
 	}
 	e.finalize()
 	return e.res, nil
-}
-
-func (e *engine) push(ev exec.Event) {
-	e.Events.Push(ev)
-	e.met.heapDepth(e.Events.Len())
 }
 
 // cancelCheckMask throttles context polls to one per 64 processed events:
@@ -542,13 +514,13 @@ func (e *engine) loop() error {
 			return err
 		}
 		ev := e.Events.Pop()
-		if ev.Kind == evFault && !e.faultWorkRemains() {
+		if ev.Kind == exec.EvFault && !e.faultWorkRemains() {
 			// Trailing fault beyond the last resolvable task: dropping it
 			// (before the meter advances) is what lets the loop drain — the
 			// stochastic processes otherwise reschedule forever.
 			continue
 		}
-		backlog := e.inSystem + len(e.pool)
+		backlog := e.InSystem + len(e.pool)
 		e.depthIntegral += float64(backlog) * (ev.Time - e.lastT)
 		e.lastT = ev.Time
 		at, exhausted := e.Meter.Advance(ev.Time)
@@ -564,27 +536,31 @@ func (e *engine) loop() error {
 		e.checkBrownout(at)
 		e.met.event(ev.Kind, backlog)
 		switch ev.Kind {
-		case evArrival:
+		case exec.EvArrival:
 			e.arrived++
 			if e.central != nil {
 				e.pool = append(e.pool, e.trial.Tasks[ev.Idx])
+				e.poolAtt = append(e.poolAtt, 0)
 				e.dispatch(ev.Time)
 			} else {
 				e.arrive(ev.Time, ev.Idx)
 			}
-		case evCompletion:
-			if !e.staleCompletion(ev) {
-				e.complete(ev.Time, ev.Idx)
+		case exec.EvCompletion:
+			if !e.Stale(ev) {
+				e.CompleteHead(ev.Time, ev.Idx)
+				if e.Queues[ev.Idx].Len() == 0 {
+					e.idle(ev.Time, ev.Idx)
+				}
 				e.dispatch(ev.Time)
 			}
-		case evPark:
+		case exec.EvPark:
 			e.park(ev.Idx, ev.Gen)
-		case evFault:
-			e.handleFault(ev.Time, ev.Idx)
-		case evRepair:
-			e.handleRepair(ev.Time, ev.Idx)
-		case evRequeue:
-			e.handleRequeue(ev.Time, ev.Idx)
+		case exec.EvFault:
+			e.FireFault(ev.Time, ev.Idx)
+		case exec.EvRepair:
+			e.Repair(ev.Time, ev.Idx)
+		case exec.EvRequeue:
+			e.FireRequeue(ev.Time, ev.Idx)
 		}
 		e.res.Makespan = ev.Time
 		e.flushCounts()
@@ -592,19 +568,15 @@ func (e *engine) loop() error {
 	return nil
 }
 
-// flushCounts publishes the ρ path's pending counts: the free-time
-// engine's and the scheduler's plain-field tallies, which this loop alone
-// writes. Called at the end of every turn and on every return, so the
-// registry and pmf.ReadOpCounts are exact whenever a turn is not running.
+// flushCounts publishes the loop's pending counts: the free-time engine's
+// and the scheduler's plain-field tallies and the event heap's high-water
+// mark, which this loop alone writes. Called at the end of every turn and
+// on every return, so the registry and pmf.ReadOpCounts are exact whenever
+// a turn is not running.
 func (e *engine) flushCounts() {
-	e.ftc.Flush()
+	e.FT.Flush()
 	e.met.schedCounters().Flush()
-}
-
-// staleCompletion reports whether a completion event refers to an execution
-// that a failure already killed (the core's run generation moved on).
-func (e *engine) staleCompletion(ev exec.Event) bool {
-	return e.flt != nil && ev.Gen != e.flt.runGen[ev.Idx]
+	e.met.heapDepth(e.Events.High())
 }
 
 // sampleEnergy forwards one energy-meter trajectory point to the observer
@@ -628,7 +600,7 @@ func (e *engine) arrive(now float64, taskIdx int) {
 		e.cfg.Observer.TaskDiscarded(now, task)
 		return
 	}
-	e.commit(now, task, chosen.Assignment, chosen.EEC, chosen.Predict)
+	e.commit(now, task, chosen.Assignment, chosen.EEC, chosen.Predict, 0)
 }
 
 // decide runs the immediate-mode mapper for one task — candidate
@@ -643,11 +615,21 @@ func (e *engine) decide(now float64, task workload.Task, tasksLeft int) *sched.C
 		Calc:          e.calc,
 		EnergyLeft:    e.energyLeft,
 		TasksLeft:     tasksLeft,
-		AvgQueueDepth: float64(e.inSystem) / float64(len(e.Cores)),
+		AvgQueueDepth: float64(e.InSystem) / float64(len(e.Cores)),
 		Rand:          e.rand,
 		Counters:      e.met.schedCounters(),
+		FreeTimes:     e.ft,
+		Arena:         e.arena,
+		CoreUp:        e.coreUpFn,
+		Availability:  e.availFn,
 	}
-	e.decorateCtx(ctx)
+	// An active brownout stage floors the P-state and caps ζ_mul.
+	if e.bro != nil {
+		if st := e.bro.Current(); st != nil {
+			ctx.PStateFloor = st.PStateFloor
+			ctx.ZetaMulOverride = st.ZetaMul
+		}
+	}
 	cands := sched.BuildCandidates(ctx, e)
 	// With every core down the candidate set is empty; Mapper.Map expects a
 	// non-empty set when it reaches the heuristic.
@@ -659,12 +641,13 @@ func (e *engine) decide(now float64, task workload.Task, tasksLeft int) *sched.C
 
 // commit carries out one mapping decision, whichever mode made it: it
 // charges the expected energy eec to ζ(t_l), audits the decision, enqueues
-// the task on its core, records and announces the mapping, and starts the
-// core if it was idle. pred is evaluated only for a DecisionObserver, and
-// before the enqueue: an immediate-mode prediction convolves against the
-// core's queue as BuildCandidates saw it, and the enqueue changes both that
-// queue and the free-time engine's cache of it.
-func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec float64, pred func() sched.Prediction) {
+// the task on its core with the fault retries it has consumed, records and
+// announces the mapping, and starts the core if it was idle. pred is
+// evaluated only for a DecisionObserver, and before the enqueue: an
+// immediate-mode prediction convolves against the core's queue as
+// BuildCandidates saw it, and the enqueue changes both that queue and the
+// free-time engine's cache of it.
+func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec float64, pred func() sched.Prediction, attempts int) {
 	e.res.Mapped++
 	e.met.taskMapped()
 	e.energyLeft -= eec
@@ -674,9 +657,9 @@ func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec
 	actual := e.cfg.Model.ActualExecTime(task, a.Core.Node, a.PState)
 	idx := a.CoreIdx
 	q := &e.Queues[idx]
-	q.Push(exec.Entry{Task: task, Actual: actual}, a.PState)
-	e.ftc.OnEnqueue(idx, a.Core.Node, task.Type, a.PState, q.Len())
-	e.inSystem++
+	q.Push(exec.Entry{Task: task, Actual: actual, Attempts: attempts}, a.PState)
+	e.FT.OnEnqueue(idx, a.Core.Node, task.Type, a.PState, q.Len())
+	e.InSystem++
 	if e.cfg.Trace {
 		tr := &e.res.Traces[task.ID]
 		tr.Mapped = true
@@ -684,17 +667,18 @@ func (e *engine) commit(now float64, task workload.Task, a sched.Assignment, eec
 	}
 	e.cfg.Observer.TaskMapped(now, task, a)
 	if q.Len() == 1 {
-		e.start(now, idx)
+		e.StartHead(now, idx)
 	}
 }
 
-// start begins executing the head of the core's queue: the core (idle at
-// this instant) transitions to the task's P-state and a completion event is
-// scheduled at the realized finish time.
-func (e *engine) start(now float64, coreIdx int) {
-	e.ftc.Invalidate(coreIdx) // the head gains Started/StartAt
-	q := &e.Queues[coreIdx]
-	ps, head := q.Snap[0].PState, &q.Run[0]
+// hooks is the simulator's side of the cluster lifecycle (exec.Hooks):
+// Result counters and trace rows, parking, PowerCV, overdue cancellation
+// and, in fault.go, what a fault step counts and dispatches.
+type hooks struct{ *engine }
+
+// Started wakes a parked core, paying its wake latency, and draws the
+// run's power under PowerCV.
+func (e hooks) Started(now float64, coreIdx int, ps cluster.PState, head *exec.Entry) float64 {
 	wake := 0.0
 	if e.cfg.Park.Enabled {
 		e.idleGen[coreIdx]++ // invalidate any pending park check
@@ -705,49 +689,20 @@ func (e *engine) start(now float64, coreIdx int) {
 			wake = e.cfg.Park.WakeLatency
 		}
 	}
-	e.SetPState(now, coreIdx, ps)
 	if e.cfg.PowerCV > 0 {
 		node := e.cfg.Model.Cluster.Node(e.Cores[coreIdx])
 		factor := e.powerRand.GammaMeanCV(1, e.cfg.PowerCV)
 		e.Meter.SetPower(coreIdx, node.Power[ps]*factor)
 	}
-	q.Start(now)
 	if e.cfg.Trace {
 		e.res.Traces[head.Task.ID].Start = now
 	}
-	e.cfg.Observer.TaskStarted(now, head.Task, e.Assignment(coreIdx, ps))
-	gen := 0
-	if e.flt != nil {
-		gen = e.flt.runGen[coreIdx]
-	}
-	e.push(exec.Event{Time: now + wake + head.Actual, Kind: evCompletion, Idx: coreIdx, Gen: gen})
+	return wake
 }
 
-// park power-gates a core if it is still idle and the check is current.
-func (e *engine) park(coreIdx, gen int) {
-	if !e.cfg.Park.Enabled || e.parked[coreIdx] || gen != e.idleGen[coreIdx] || e.Queues[coreIdx].Len() > 0 {
-		return
-	}
-	if e.coreDown(coreIdx) {
-		return // a failed core already draws nothing; keep the 0 W override
-	}
-	e.parked[coreIdx] = true
-	e.parkedAt[coreIdx] = e.Meter.Now()
-	node := e.cfg.Model.Cluster.Node(e.Cores[coreIdx])
-	e.Meter.SetPower(coreIdx, e.cfg.Park.PowerFrac*node.Power[cluster.P4])
-}
-
-// complete retires the head of the core's queue and starts the next task
-// (or parks the core in the idle P-state).
-func (e *engine) complete(now float64, coreIdx int) {
-	q := &e.Queues[coreIdx]
-	head, ps := q.Run[0].Task, q.Snap[0].PState
-	q.PopFront()
-	// One version bump covers the head pop and any overdue-waiting drops
-	// below: no free-time query can run before the queue settles.
-	e.ftc.Invalidate(coreIdx)
-	e.inSystem--
-	onTime := now <= head.Deadline
+// Finished counts the verdict and, under CancelOverdueWaiting, drops the
+// waiting tasks whose deadline has already passed.
+func (e hooks) Finished(now float64, coreIdx int, head workload.Task, onTime bool) {
 	if onTime {
 		e.res.OnTime++
 		e.res.WeightedOnTime += head.Priority
@@ -761,15 +716,15 @@ func (e *engine) complete(now float64, coreIdx int) {
 		}
 	}
 	e.met.taskFinished(onTime)
-	e.cfg.Observer.TaskFinished(now, head, e.Assignment(coreIdx, ps), onTime)
 	if e.cfg.Trace {
 		e.res.Traces[head.ID].Finish = now
 	}
 	if e.cfg.CancelOverdueWaiting {
+		q := &e.Queues[coreIdx]
 		for q.Len() > 0 && q.Snap[0].Deadline < now {
 			dropped := q.Run[0].Task.ID
 			q.PopFront()
-			e.inSystem--
+			e.InSystem--
 			e.res.Cancelled++
 			e.met.taskCancelled()
 			if e.cfg.Trace {
@@ -777,26 +732,40 @@ func (e *engine) complete(now float64, coreIdx int) {
 			}
 		}
 	}
-	if q.Len() > 0 {
-		e.start(now, coreIdx)
-	} else {
-		e.SetPState(now, coreIdx, e.cfg.IdlePState)
-		e.applyIdlePower(coreIdx)
-		if e.cfg.Park.Enabled {
-			e.idleGen[coreIdx]++
-			e.push(exec.Event{Time: now + e.cfg.Park.Timeout, Kind: evPark, Idx: coreIdx, Gen: e.idleGen[coreIdx]})
-		}
+}
+
+// idle settles a core that a completion or a repair left without work: a
+// parking brownout stage gates it, and parking schedules its check.
+func (e *engine) idle(now float64, coreIdx int) {
+	e.applyIdlePower(coreIdx)
+	if e.cfg.Park.Enabled {
+		e.idleGen[coreIdx]++
+		e.Events.Push(exec.Event{Time: now + e.cfg.Park.Timeout, Kind: exec.EvPark, Idx: coreIdx, Gen: e.idleGen[coreIdx]})
 	}
+}
+
+// park power-gates a core if it is still idle and the check is current.
+func (e *engine) park(coreIdx, gen int) {
+	if !e.cfg.Park.Enabled || e.parked[coreIdx] || gen != e.idleGen[coreIdx] || e.Queues[coreIdx].Len() > 0 {
+		return
+	}
+	if e.CoreDown(coreIdx) {
+		return // a failed core already draws nothing; keep the 0 W override
+	}
+	e.parked[coreIdx] = true
+	e.parkedAt[coreIdx] = e.Meter.Now()
+	node := e.cfg.Model.Cluster.Node(e.Cores[coreIdx])
+	e.Meter.SetPower(coreIdx, e.cfg.Park.PowerFrac*node.Power[cluster.P4])
 }
 
 func (e *engine) finalize() {
 	r := e.res
 	r.Missed = r.Window - r.OnTime
 	r.Unfinished = r.Window - r.OnTime - r.Late - r.Discarded - r.Cancelled - r.LostToFailure
-	if e.flt != nil {
-		for i, down := range e.flt.down {
+	if f := e.Faults; f != nil {
+		for i, down := range f.Down {
 			if down {
-				r.DownTime += e.Meter.Now() - e.flt.downAt[i]
+				r.DownTime += e.Meter.Now() - f.DownAt[i]
 			}
 		}
 	}
