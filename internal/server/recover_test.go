@@ -157,6 +157,64 @@ func recoverAndDrain(t *testing.T, m *workload.Model, dir string) *FinalReport {
 	return rep
 }
 
+// TestRecoverTenantFaultLoss replays, from the WAL alone, a history in
+// which a scripted fault kills tenant-tagged tasks and drop recovery loses
+// them. The fail record names only the task id; replay finds the task's
+// tenant in the entry the fault stranded, so the recovered per-tenant
+// failed count must equal the live engine's.
+func TestRecoverTenantFaultLoss(t *testing.T) {
+	m := buildModel(t, 7)
+	tAvg := m.TAvg()
+	dir := t.TempDir()
+	config := func(clk *ManualClock) Config {
+		cfg := Config{
+			Model:   m,
+			Mapper:  testMapper(0),
+			Clock:   clk,
+			Seed:    42,
+			Tenants: &TenantConfig{Quotas: []TenantQuota{{ID: "t", Class: workload.SLOSilver}}},
+			Faults: fault.Spec{
+				RepairTime: tAvg,
+				Recovery:   fault.Recovery{Mode: fault.Drop},
+			},
+			WALPath: filepath.Join(dir, "wal"),
+		}
+		for c := range m.Cluster.TotalCores() {
+			cfg.Faults.Script = append(cfg.Faults.Script, fault.Scripted{Time: tAvg / 100, Kind: fault.Transient, Core: c})
+		}
+		return cfg
+	}
+	clk := NewManualClock()
+	live, err := New(config(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		if _, err := live.Submit(TaskRequest{Type: i % m.Params.TaskTypes, Tenant: "t"}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	clk.Advance(tAvg / 50)
+	live.Sync()
+	want := live.tenants.state("t").failed.Load()
+	live.Close()
+	if want == 0 {
+		t.Fatal("the scripted fault lost no tenant task")
+	}
+
+	rec, err := Prepare(config(NewManualClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rec.Close)
+	if _, err := rec.RecoverFrom(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.tenants.state("t").failed.Load(); got != want {
+		t.Fatalf("recovered tenant failed count %d, live engine %d", got, want)
+	}
+}
+
 // TestRecoveryBitIdentity is the recovery contract's property test. One
 // deterministic scenario runs twice: a reference run that drains normally,
 // and a crash run that stops abruptly, leaving its WAL and mid-stream
