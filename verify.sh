@@ -107,19 +107,25 @@ if [ "$heapfiles" -gt 0 ]; then
     grep -rl --include='*.go' --exclude='*_test.go' '"container/heap"' . >&2
     exit 1
 fi
-# The cluster mechanics methods defined in both internal/sim and
-# internal/server. What is left: start and complete (item 4c's other half)
-# and the fault mechanics (item 4d: handleFault, handleRepair, downCore,
-# recoverTask, handleRequeue). setPState is defined once, in internal/exec;
-# it stays on the list so that a copy coming back is counted.
+# The cluster lifecycle is written once, in internal/exec: a head starts
+# and completes, a fault fires and strikes, a core goes down and is
+# repaired, a stranded task is retried or lost. Each engine keeps only its
+# side effects, behind exec.Hooks. A mechanics method defined again in both
+# internal/sim and internal/server, under its old name or its exec name,
+# fails tier 1.
 dup=0
-for m in start complete setPState handleFault handleRepair downCore recoverTask handleRequeue pickUpCore pickAliveNode; do
+for m in start complete setPState handleFault handleRepair downCore recoverTask handleRequeue pickUpCore pickAliveNode \
+    StartHead CompleteHead FireFault strike Repair Recover FireRequeue; do
     if grep -rq --include='*.go' --exclude='*_test.go' "^func ([^)]*) $m(" internal/sim &&
         grep -rq --include='*.go' --exclude='*_test.go' "^func ([^)]*) $m(" internal/server; then
+        echo "verify: $m is defined in both internal/sim and internal/server; write it once, in internal/exec" >&2
         dup=$((dup + 1))
     fi
 done
 echo "== tier 1: mechanics methods defined in both internal/sim and internal/server: $dup"
+if [ "$dup" -gt 0 ]; then
+    exit 1
+fi
 # Static analysis and vulnerability scanning run when the tools are on
 # PATH; the container image doesn't ship them and nothing may be
 # installed here, so absence is a skip, not a failure.
